@@ -8,10 +8,8 @@ power-split trade-off, rate-CDF and RIS-gain studies of that setting.
 
 __version__ = "0.1.0"
 
-from ._kernels import backend as kernel_backend
 from .beamforming import (PowerAllocation, RisConfig, cb_precoders,
-                          gamma_analytic, ppa_allocate, ris_align_uav,
-                          uav_received_power)
+                          gamma_analytic, ppa_allocate, ris_align_uav)
 from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
                       antenna_gain_db, array_response, draw_channels,
                       large_scale, pathloss_gue_db, pathloss_simple_linear,
@@ -20,19 +18,16 @@ from .experiments import (ExperimentSpec, TrialResult, likely_rate_95,
                           rate_cdf, rate_region, ris_gain_sweep, run_trial,
                           run_trials)
 from .geometry import (ConfigError, NetworkLayout, SimConfig,
-                       SimulationError, distance, elevation_angle_deg,
-                       place_nodes)
-from .link import LinkMetrics, rate_bps, ris_gain_db, sinr_all
+                       SimulationError, place_nodes)
+from .link import rate_bps, ris_gain_db, sinr_all
 
 __all__ = [
     "ChannelSet", "ConfigError", "ExperimentSpec", "LargeScaleParams",
-    "LinkMetrics", "NetworkLayout", "PowerAllocation", "RisConfig",
-    "SimConfig", "SimulationError", "TrialResult", "aggregate_channel",
-    "antenna_gain_db", "array_response", "cb_precoders", "distance",
-    "draw_channels", "elevation_angle_deg", "gamma_analytic",
-    "kernel_backend", "large_scale", "likely_rate_95", "pathloss_gue_db",
+    "NetworkLayout", "PowerAllocation", "RisConfig", "SimConfig",
+    "SimulationError", "TrialResult", "aggregate_channel", "antenna_gain_db",
+    "array_response", "cb_precoders", "draw_channels", "gamma_analytic",
+    "large_scale", "likely_rate_95", "pathloss_gue_db",
     "pathloss_simple_linear", "place_nodes", "ppa_allocate", "rate_bps",
     "rate_cdf", "rate_region", "rician_k_linear", "ris_align_uav",
     "ris_gain_db", "ris_gain_sweep", "run_trial", "run_trials", "sinr_all",
-    "uav_received_power",
 ]

@@ -1,74 +1,23 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""The three array kernels of a trial.
 
-Every kernel exists in two interchangeable flavors: a plain numpy
-implementation (suffix ``_numpy``) and, when numba is importable, an
-``@njit`` loop version (suffix ``_jit``).  The module-level aliases used by
-the rest of the package pick the JIT flavor unless the environment variable
-``CFRIS_NO_NUMBA`` is set to a truthy value ("1", "true", "yes").
-
-Both flavors implement the same arithmetic; results agree to floating-point
-rounding (the JIT loops accumulate sequentially while numpy may use pairwise
-summation).  ``benchmarks/bench_kernels.py`` compares their throughput.
+``aggregate`` combines the direct and RIS-reflected paths,
+``align_phases`` phases the RIS toward the UAV and ``sinr_users``
+evaluates the per-user SINR.  Each is a few numpy expressions over plain
+arrays; ``perfbench`` times and counts them under these names.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via CFRIS_NO_NUMBA instead
-    HAVE_NUMBA = False
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("CFRIS_NO_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-USE_NUMBA = HAVE_NUMBA and not _numba_disabled_by_env()
-
-
-def backend() -> str:
-    """Name of the kernel path selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
 # aggregate channel: G[m,k] = h_direct[m,k] + sum_n H_ris[m,n] v[n] h_ru[n,k]
-# ---------------------------------------------------------------------------
-
-def aggregate_numpy(h_direct, H_ris, v, h_ris_user):
-    if v.size == 0:
-        return h_direct.copy()
+def aggregate(h_direct, H_ris, v, h_ris_user):
     return h_direct + H_ris @ (v[:, None] * h_ris_user)
 
 
-def _aggregate_loops(h_direct, H_ris, v, h_ris_user):
-    m_ap, n_users = h_direct.shape
-    n_elem = v.shape[0]
-    out = h_direct.copy()
-    reflected = np.empty(n_elem, dtype=np.complex128)
-    for k in range(n_users):
-        for n in range(n_elem):
-            reflected[n] = v[n] * h_ris_user[n, k]
-        for m in range(m_ap):
-            acc = 0.0 + 0.0j
-            for n in range(n_elem):
-                acc += H_ris[m, n] * reflected[n]
-            out[m, k] += acc
-    return out
-
-
-# ---------------------------------------------------------------------------
 # RIS phase alignment: v[n] = exp(-j angle(sum_m R[m,n] conj(h_uav[m])))
 # with R[m,n] = H_ris[m,n] * h_ris_uav[n]; zero coefficient -> phase 0.
-# ---------------------------------------------------------------------------
-
-def align_phases_numpy(H_ris, h_ris_uav, h_uav):
+def align_phases(H_ris, h_ris_uav, h_uav):
     t = (H_ris * h_ris_uav[None, :]).T @ np.conj(h_uav)
     mag = np.abs(t)
     v = np.ones_like(t)
@@ -77,64 +26,11 @@ def align_phases_numpy(H_ris, h_ris_uav, h_uav):
     return v
 
 
-def _align_phases_loops(H_ris, h_ris_uav, h_uav):
-    m_ap, n_elem = H_ris.shape
-    v = np.empty(n_elem, dtype=np.complex128)
-    for n in range(n_elem):
-        t = 0.0 + 0.0j
-        for m in range(m_ap):
-            t += H_ris[m, n] * h_ris_uav[n] * np.conj(h_uav[m])
-        mag = abs(t)
-        v[n] = np.conj(t) / mag if mag > 0.0 else 1.0 + 0.0j
-    return v
-
-
-# ---------------------------------------------------------------------------
 # per-user SINR of the downlink signal model:
 #   A[k,k'] = sum_m sqrt(eta[m,k']) G[m,k] W[m,k']
 #   sinr[k] = |A[k,k]|^2 / (sum_{k'!=k} |A[k,k']|^2 + noise)
-# ---------------------------------------------------------------------------
-
-def sinr_users_numpy(G, W, eta, noise_w):
+def sinr_users(G, W, eta, noise_w):
     a = G.T @ (np.sqrt(eta) * W)
     diag = np.abs(np.diagonal(a)) ** 2
     den = np.sum(np.abs(a) ** 2, axis=1) - diag + noise_w
     return diag / den
-
-
-def _sinr_users_loops(G, W, eta, noise_w):
-    m_ap, n_users = G.shape
-    sinr = np.empty(n_users)
-    for k in range(n_users):
-        num = 0.0
-        den = noise_w
-        for kp in range(n_users):
-            acc = 0.0 + 0.0j
-            for m in range(m_ap):
-                acc += np.sqrt(eta[m, kp]) * G[m, k] * W[m, kp]
-            p = acc.real * acc.real + acc.imag * acc.imag
-            if kp == k:
-                num = p
-            else:
-                den += p
-        sinr[k] = num / den
-    return sinr
-
-
-if HAVE_NUMBA:
-    aggregate_jit = njit(cache=True)(_aggregate_loops)
-    align_phases_jit = njit(cache=True)(_align_phases_loops)
-    sinr_users_jit = njit(cache=True)(_sinr_users_loops)
-else:
-    aggregate_jit = None
-    align_phases_jit = None
-    sinr_users_jit = None
-
-if USE_NUMBA:
-    aggregate = aggregate_jit
-    align_phases = align_phases_jit
-    sinr_users = sinr_users_jit
-else:
-    aggregate = aggregate_numpy
-    align_phases = align_phases_numpy
-    sinr_users = sinr_users_numpy

@@ -53,10 +53,7 @@ def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
     """
     if H_ris.shape[1] == 0:
         return RisConfig.none()
-    v = _kernels.align_phases(np.ascontiguousarray(H_ris, dtype=complex),
-                              np.ascontiguousarray(h_ris_uav, dtype=complex),
-                              np.ascontiguousarray(h_uav, dtype=complex))
-    return RisConfig(v=v)
+    return RisConfig(v=_kernels.align_phases(H_ris, h_ris_uav, h_uav))
 
 
 def cb_precoders(G: np.ndarray) -> np.ndarray:
@@ -111,13 +108,3 @@ def ppa_allocate(gamma: np.ndarray, kappa: float, p_d: float
     with np.errstate(invalid="ignore"):
         eta = np.where(p_dl > 0.0, p_dl / gamma, 0.0)
     return PowerAllocation(p_dl=p_dl, eta=eta)
-
-
-def uav_received_power(R: np.ndarray, ris: RisConfig, h_uav: np.ndarray,
-                       w_uav: np.ndarray) -> float:
-    """Received UAV signal power |(R v + h_uav)^T w_uav|^2.
-
-    With the conjugate precoder w = conj(g) this equals ||g||^4.
-    """
-    g0 = h_uav if R.shape[1] == 0 else h_uav + R @ ris.v
-    return float(np.abs(g0 @ w_uav) ** 2)

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 
 from . import __version__
@@ -22,10 +23,16 @@ from .experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
                           EXPERIMENT_KINDS, ExperimentSpec, run_experiment)
 from .geometry import ConfigError, SimConfig
 
-_INT_KEYS = {"m_ap", "n_gue", "n_ris", "master_seed", "trials"}
-_FLOAT_KEYS = {"area_side", "h_ap", "h_ris", "h_gue", "h_uav", "ris_x",
-               "carrier_freq_hz", "bandwidth_hz", "noise_power_dbm",
-               "p_d_w", "kappa", "tilt_deg", "rho_db", "alpha"}
+
+def _config_keys(kind: type) -> set:
+    """SimConfig fields typed ``kind`` (or an optional ``kind``)."""
+    hints = typing.get_type_hints(SimConfig)
+    return {f.name for f in dataclasses.fields(SimConfig)
+            if kind in (hints[f.name], *typing.get_args(hints[f.name]))}
+
+
+_INT_KEYS = _config_keys(int)
+_FLOAT_KEYS = _config_keys(float)
 _LIST_KEYS = {"kappas": float, "n_list": int, "heights": float}
 _STR_KEYS = {"experiment"}
 
@@ -166,7 +173,7 @@ def _csv_rows(kind: str, rows) -> list[str]:
 def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
     """Execute an experiment and write <kind>.csv plus manifest.json."""
     started = time.monotonic()
-    rows, rejected = run_experiment(spec, workers=workers)
+    rows = run_experiment(spec, workers=workers)
     duration = time.monotonic() - started
 
     out = Path(out_dir)
@@ -189,7 +196,6 @@ def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
             "heights": list(spec.heights),
             "cdf_scenarios": [list(s) for s in spec.scenarios],
         },
-        "rejected_trials": rejected,
         "rows": len(rows),
         "duration_s": duration,
         "results_csv": csv_path.name,

@@ -24,7 +24,7 @@ import numpy as np
 from .beamforming import (RisConfig, cb_precoders, gamma_analytic,
                           ppa_allocate, ris_align_uav)
 from .channel import aggregate_channel, draw_channels, large_scale
-from .geometry import ConfigError, SimConfig, SimulationError, place_nodes
+from .geometry import ConfigError, SimConfig, place_nodes
 from .link import rate_bps, ris_gain_db, sinr_all
 
 EXPERIMENT_KINDS = ("rate-region", "cdf", "ris-gain")
@@ -38,8 +38,6 @@ DEFAULT_HEIGHTS = (16.0, 100.0, 300.0)
 DEFAULT_CDF_SCENARIOS = ((0.1, 15.0, False), (0.33, -5.0, False),
                          (0.1, 15.0, True))
 
-_MAX_REDRAWS = 100
-
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -49,7 +47,6 @@ class TrialResult:
     rates_bps: np.ndarray          # (K,) per-user, index 0 = UAV
     sinr: np.ndarray               # (K,) linear
     ris_gain_db: float | None      # UAV with/without-RIS ratio; None if no RIS
-    rejects: int = 0               # degenerate redraws consumed
 
 
 @dataclass(frozen=True)
@@ -78,19 +75,18 @@ class ExperimentSpec:
             raise ConfigError("scenarios: need at least one CDF scenario")
 
 
-def trial_rng(master_seed: int, trial_index: int,
-              attempt: int = 0) -> np.random.Generator:
-    """Independent substream for one trial (and redraw attempt)."""
-    ss = np.random.SeedSequence(master_seed,
-                                spawn_key=(trial_index, attempt))
+def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """Independent substream for one trial."""
+    # The trailing 0 is part of each stream's identity: without it every
+    # drawn number, and so every CSV, would change.
+    ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index, 0))
     return np.random.default_rng(ss)
 
 
 def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, rates: np.ndarray):
     # Coherent upper bound: numerator can never exceed p_d (M max|g|)^2.
-    # A violation is an internal inconsistency, so it must escape the
-    # degenerate-geometry redraw loop (plain RuntimeError, not
-    # SimulationError).
+    # A violation is an internal inconsistency, not a property of the
+    # drawn geometry (plain RuntimeError, not SimulationError).
     g_max2 = float(np.max(np.abs(G)) ** 2)
     cap = cfg.bandwidth_hz * math.log2(
         1.0 + cfg.p_d_w * cfg.m_ap ** 2 * g_max2 / cfg.noise_power_w)
@@ -98,8 +94,12 @@ def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, rates: np.ndarray):
         raise RuntimeError("rate outside the coarse sanity bound")
 
 
-def _evaluate(cfg: SimConfig, rng: np.random.Generator):
-    """One end-to-end evaluation; raises SimulationError when degenerate."""
+def run_trial(cfg: SimConfig, trial_index: int) -> TrialResult:
+    """Run one end-to-end trial on its own substream.
+
+    Raises SimulationError when the drawn geometry is degenerate.
+    """
+    rng = trial_rng(cfg.master_seed, trial_index)
     layout = place_nodes(cfg, rng)
     ls = large_scale(layout, cfg)
     cs = draw_channels(ls, layout, cfg, rng)
@@ -126,22 +126,8 @@ def _evaluate(cfg: SimConfig, rng: np.random.Generator):
         gain = ris_gain_db(float(sinr[0]), float(sinr0[0]))
 
     _sanity_check_rates(cfg, G, rates)
-    return sinr, rates, gain
-
-
-def run_trial(cfg: SimConfig, trial_index: int) -> TrialResult:
-    """Run one trial on its own substream, redrawing degenerate geometries."""
-    for attempt in range(_MAX_REDRAWS):
-        rng = trial_rng(cfg.master_seed, trial_index, attempt)
-        try:
-            sinr, rates, gain = _evaluate(cfg, rng)
-        except SimulationError:
-            continue
-        return TrialResult(trial_index=trial_index, rates_bps=rates,
-                           sinr=sinr, ris_gain_db=gain, rejects=attempt)
-    raise SimulationError(
-        f"trial {trial_index}: geometry still degenerate after "
-        f"{_MAX_REDRAWS} redraws")
+    return TrialResult(trial_index=trial_index, rates_bps=rates, sinr=sinr,
+                       ris_gain_db=gain)
 
 
 def _run_chunk(args):
@@ -186,16 +172,14 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
 
     Systems: the plain network, one RIS system per element count in
     ``n_list``, and a kappa-independent GUE-only baseline (no UAV, no RIS,
-    full power shared among GUEs).  Returns (rows, rejected_count).
+    full power shared among GUEs).
     """
     rows = []
-    rejected = 0
     systems = [("no-ris", 0)] + [(f"ris-n{int(n)}", int(n)) for n in n_list]
     for name, n_ris in systems:
         for kappa in kappa_list:
             run_cfg = cfg.with_overrides(n_ris=n_ris, kappa=float(kappa))
             results = run_trials(run_cfg, trials, workers)
-            rejected += sum(r.rejects for r in results)
             rows.append({
                 "system": name,
                 "kappa": float(kappa),
@@ -206,14 +190,13 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
     # the full budget is then shared among the GUEs.
     base_cfg = cfg.with_overrides(n_ris=0, kappa=0.0)
     results = run_trials(base_cfg, trials, workers)
-    rejected += sum(r.rejects for r in results)
     rows.append({
         "system": "no-uav",
         "kappa": None,
         "gue_rate_bps": likely_rate_95(_collect(results, 1)),
         "uav_rate_bps": 0.0,
     })
-    return rows, rejected
+    return rows
 
 
 def scenario_label(kappa: float, tilt_deg: float, with_ris: bool) -> str:
@@ -227,10 +210,8 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS,
 
     Emits sorted (rate, probability) pairs for the UAV and for GUE k=1.
     The RIS size of a with-RIS scenario is the base configuration's n_ris.
-    Returns (rows, rejected_count).
     """
     rows = []
-    rejected = 0
     for kappa, tilt_deg, with_ris in scenarios:
         n_ris = cfg.n_ris if with_ris else 0
         if with_ris and n_ris == 0:
@@ -239,7 +220,6 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS,
         run_cfg = cfg.with_overrides(kappa=float(kappa),
                                      tilt_deg=float(tilt_deg), n_ris=n_ris)
         results = run_trials(run_cfg, trials, workers)
-        rejected += sum(r.rejects for r in results)
         label = scenario_label(kappa, tilt_deg, with_ris)
         for user, idx in (("uav", 0), ("gue1", 1)):
             rates = np.sort(_collect(results, idx))
@@ -247,7 +227,7 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS,
             rows.extend({"scenario": label, "user": user,
                          "rate_bps": float(r), "prob": float(p)}
                         for r, p in zip(rates, prob))
-    return rows, rejected
+    return rows
 
 
 def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
@@ -255,29 +235,26 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
                    workers: int = 1):
     """Mean paired UAV RIS gain (dB) per (element count, UAV height).
 
-    Returns (rows, rejected_count); rows are ordered heights-major to match
-    the sweep definition.
+    Rows are ordered heights-major to match the sweep definition.
     """
     rows = []
-    rejected = 0
     for h_uav in heights:
         for n_ris in n_list:
             run_cfg = cfg.with_overrides(n_ris=int(n_ris),
                                          h_uav=float(h_uav))
             results = run_trials(run_cfg, trials, workers)
-            rejected += sum(r.rejects for r in results)
             gains = np.array([r.ris_gain_db for r in results], dtype=float)
             rows.append({
                 "n_ris": int(n_ris),
                 "h_uav_m": float(h_uav),
                 "mean_gain_db": float(np.mean(gains)),
             })
-    return rows, rejected
+    return rows
 
 
 def run_experiment(spec: ExperimentSpec, trials: int | None = None,
                    workers: int = 1):
-    """Dispatch a resolved experiment; returns (rows, rejected_count)."""
+    """Dispatch a resolved experiment; returns its result rows."""
     if spec.kind == "rate-region":
         return rate_region(spec.base, spec.kappas, spec.n_list,
                            trials, workers)

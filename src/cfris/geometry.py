@@ -7,7 +7,6 @@ the UAV are redrawn uniformly for every Monte-Carlo trial; the RIS is fixed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -66,7 +65,9 @@ class SimConfig:
         _check(self.bandwidth_hz > 0, "bandwidth_hz", "must be > 0")
         _check(self.alpha > 0, "alpha", "must be > 0")
         _check(self.trials >= 1, "trials", "must be >= 1")
-        for key in ("h_ap", "h_ris", "h_gue", "h_uav"):
+        # h_ap enters the Hata constant through log10(h_ap)
+        _check(self.h_ap > 0, "h_ap", "must be > 0")
+        for key in ("h_ris", "h_gue", "h_uav"):
             _check(getattr(self, key) >= 0, key, "must be >= 0")
         _check(0 <= self.master_seed < 2**64, "master_seed",
                "must fit in 64 bits")
@@ -131,22 +132,3 @@ def place_nodes(cfg: SimConfig, rng: np.random.Generator) -> NetworkLayout:
     ris_pos = np.array([cfg.ris_x, 0.0, cfg.h_ris])
     return NetworkLayout(ap_pos=ap_pos, gue_pos=gue_pos,
                          uav_pos=uav_pos, ris_pos=ris_pos)
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two 3-D points (meters)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.linalg.norm(a - b))
-
-
-def elevation_angle_deg(ap, node) -> float:
-    """Depression angle from the AP toward a node, in degrees.
-
-    Positive when the node is below the AP, negative when above, in
-    (-90, 90); a node exactly above/below maps to -90/+90 by convention.
-    """
-    ap = np.asarray(ap, dtype=float)
-    node = np.asarray(node, dtype=float)
-    horiz = math.hypot(node[0] - ap[0], node[1] - ap[1])
-    return math.degrees(math.atan2(ap[2] - node[2], horiz))

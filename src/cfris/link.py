@@ -1,19 +1,9 @@
 """Per-realization SINR, achievable rate and the RIS gain metric."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
-
-
-@dataclass(frozen=True)
-class LinkMetrics:
-    """Per-user linear SINR and rate for one realization (index 0 = UAV)."""
-
-    sinr: np.ndarray      # (K,) linear
-    rate_bps: np.ndarray  # (K,) bits/second
 
 
 def sinr_all(G: np.ndarray, W: np.ndarray, eta: np.ndarray,
@@ -24,10 +14,7 @@ def sinr_all(G: np.ndarray, W: np.ndarray, eta: np.ndarray,
     other user's beam contributes |sum_m sqrt(eta[m,k']) G[m,k] W[m,k']|^2
     of interference on top of the noise power.
     """
-    return _kernels.sinr_users(np.ascontiguousarray(G, dtype=complex),
-                               np.ascontiguousarray(W, dtype=complex),
-                               np.ascontiguousarray(eta, dtype=float),
-                               float(noise_power_w))
+    return _kernels.sinr_users(G, W, eta, noise_power_w)
 
 
 def rate_bps(sinr, bandwidth_hz: float):

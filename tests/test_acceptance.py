@@ -171,7 +171,7 @@ def test_criterion_5_ris_gain_trends_and_anchors():
     cfg = SimConfig(kappa=0.1, master_seed=SEED, trials=TRIALS)
     n_list = (20, 30, 40, 50, 60)
     heights = (16.0, 100.0, 300.0)
-    rows, _ = ris_gain_sweep(cfg, n_list=n_list, heights=heights)
+    rows = ris_gain_sweep(cfg, n_list=n_list, heights=heights)
     gain = {(r["n_ris"], r["h_uav_m"]): r["mean_gain_db"] for r in rows}
 
     failures = []
@@ -208,7 +208,7 @@ def test_criterion_6_rate_region_trends_and_anchors():
     started = time.monotonic()
     cfg = SimConfig(master_seed=SEED, trials=TRIALS)
     kappas = (0.02, 0.05, 0.1, 0.15)
-    rows, _ = rate_region(cfg, kappa_list=kappas, n_list=(15, 30))
+    rows = rate_region(cfg, kappa_list=kappas, n_list=(15, 30))
     by_system = {}
     for r in rows:
         by_system.setdefault(r["system"], {})[r["kappa"]] = r
@@ -257,7 +257,7 @@ def test_criterion_7_cdf_dominance():
     started = time.monotonic()
     cfg = SimConfig(n_ris=20, master_seed=SEED, trials=TRIALS)
     scenarios = ((0.1, 15.0, False), (0.33, -5.0, False), (0.1, 15.0, True))
-    rows, _ = rate_cdf(cfg, scenarios=scenarios)
+    rows = rate_cdf(cfg, scenarios=scenarios)
 
     def median(kappa, tilt, with_ris, user):
         label = scenario_label(kappa, tilt, with_ris)

@@ -5,8 +5,7 @@ import pytest
 
 from cfris import (ConfigError, RisConfig, SimConfig, SimulationError,
                    cb_precoders, draw_channels, gamma_analytic, large_scale,
-                   place_nodes, ppa_allocate, ris_align_uav,
-                   uav_received_power)
+                   place_nodes, ppa_allocate, ris_align_uav)
 
 
 def _random_instance(rng, m, n):
@@ -182,33 +181,6 @@ class TestPpaAllocate:
     def test_kappa_out_of_range(self):
         with pytest.raises(ConfigError):
             ppa_allocate(np.ones((1, 2)), 1.2, 1.0)
-
-
-class TestUavReceivedPower:
-    def test_zero_channels(self):
-        r = np.zeros((2, 3), dtype=complex)
-        h0 = np.zeros(2, dtype=complex)
-        ris = RisConfig(v=np.ones(3, dtype=complex))
-        assert uav_received_power(r, ris, h0, np.conj(h0)) == 0.0
-
-    def test_cb_self_coherence_single_ap(self):
-        # g0 = 2 with w0 = conj(g0): power equals |g0|^4 = 16
-        r = np.zeros((1, 0), dtype=complex)
-        h0 = np.array([2.0 + 0j])
-        got = uav_received_power(r, RisConfig.none(), h0, np.conj(h0))
-        assert got == pytest.approx(16.0)
-
-    def test_matches_term_by_term_reevaluation(self):
-        rng = np.random.default_rng(8)
-        m, n = 5, 7
-        h0, H, hru = _random_instance(rng, m, n)
-        R = H * hru[None, :]
-        ris = RisConfig(v=np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        g0 = h0 + R @ ris.v
-        w0 = np.conj(g0)
-        expected = abs(sum(g0[i] * w0[i] for i in range(m))) ** 2
-        assert uav_received_power(R, ris, h0, w0) == \
-            pytest.approx(expected, rel=1e-12)
 
 
 class TestRisConfig:

@@ -125,7 +125,6 @@ class TestRun:
         assert manifest["master_seed"] == 3
         assert manifest["config"]["m_ap"] == 5
         assert manifest["config"]["trials"] == 25
-        assert manifest["rejected_trials"] == 0
         assert manifest["duration_s"] >= 0.0
         # every SimConfig field is echoed
         assert set(SimConfig.field_names()) <= set(manifest["config"])

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from cfris import (ConfigError, SimConfig, distance,
-                   elevation_angle_deg, place_nodes)
+from cfris import ConfigError, SimConfig, place_nodes
 
 
 def rng_for(seed):
@@ -32,7 +29,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("kw", [
         {"kappa": 1.5}, {"kappa": -0.1}, {"m_ap": 0}, {"n_gue": 0},
         {"n_ris": -1}, {"p_d_w": 0.0}, {"area_side": -5.0},
-        {"trials": 0},
+        {"trials": 0}, {"h_ap": 0.0},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
@@ -75,62 +72,3 @@ class TestPlaceNodes:
         layout = place_nodes(SimConfig(), rng_for(5))
         assert np.array_equal(layout.user_pos[0], layout.uav_pos)
         assert np.array_equal(layout.user_pos[1:], layout.gue_pos)
-
-
-class TestDistance:
-    def test_identity(self):
-        assert distance((0, 0, 0), (0, 0, 0)) == 0.0
-
-    def test_3_4_5_triangle(self):
-        assert distance((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0)
-
-    def test_corner_to_corner(self):
-        expected = math.sqrt(40.0 ** 2 + 40.0 ** 2 + (15.0 - 1.65) ** 2)
-        assert distance((0, 0, 15.0), (40, 40, 1.65)) == \
-            pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(58.1224784399289)
-
-    def test_symmetry_and_uav_height_bound(self):
-        rng = rng_for(9)
-        for _ in range(50):
-            ap = np.append(rng.uniform(0, 40, 2), 15.0)
-            uav = np.append(rng.uniform(0, 40, 2), 100.0)
-            assert distance(ap, uav) == pytest.approx(distance(uav, ap))
-            assert distance(ap, uav) >= 100.0 - 15.0
-
-
-class TestElevationAngle:
-    def test_node_below_at_45(self):
-        assert elevation_angle_deg((0, 0, 20), (10, 0, 10)) == \
-            pytest.approx(45.0)
-
-    def test_horizon(self):
-        assert elevation_angle_deg((0, 0, 15), (25, 3, 15)) == 0.0
-
-    def test_uav_above(self):
-        # 50 m horizontal, 85 m above the AP
-        got = elevation_angle_deg((0, 0, 15.0), (30, 40, 100.0))
-        assert got == pytest.approx(math.degrees(math.atan2(-85.0, 50.0)))
-        assert got == pytest.approx(-59.53445508054013)
-
-    def test_straight_above_and_below(self):
-        assert elevation_angle_deg((5, 5, 10), (5, 5, 50)) == -90.0
-        assert elevation_angle_deg((5, 5, 50), (5, 5, 10)) == 90.0
-
-    def test_antisymmetric_in_height_swap(self):
-        rng = rng_for(11)
-        for _ in range(50):
-            x, y = rng.uniform(1, 40, 2)
-            h1, h2 = rng.uniform(0, 120, 2)
-            a = elevation_angle_deg((0, 0, h1), (x, y, h2))
-            b = elevation_angle_deg((0, 0, h2), (x, y, h1))
-            assert a == pytest.approx(-b)
-
-    def test_range_open_interval(self):
-        rng = rng_for(13)
-        for _ in range(100):
-            ap = rng.uniform(0, 40, 3)
-            node = rng.uniform(0, 40, 3)
-            node[0] += 0.5  # keep a horizontal offset
-            got = elevation_angle_deg(ap, node)
-            assert -90.0 < got < 90.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfris import LinkMetrics, rate_bps, ris_gain_db, sinr_all
+from cfris import rate_bps, ris_gain_db, sinr_all
 
 
 def _random_system(rng, m, k):
@@ -81,14 +81,6 @@ class TestRateBps:
     def test_vectorized(self):
         got = rate_bps([0.0, 1.0, 3.0], 10.0)
         assert np.allclose(got, [0.0, 10.0, 20.0])
-
-
-class TestLinkMetrics:
-    def test_holds_consistent_pair(self):
-        sinr = np.array([0.0, 1.0, 3.0])
-        m = LinkMetrics(sinr=sinr, rate_bps=rate_bps(sinr, 20e6))
-        assert np.all(m.sinr >= 0.0)
-        assert np.allclose(m.rate_bps, 20e6 * np.log2(1.0 + m.sinr))
 
 
 class TestRisGainDb:
