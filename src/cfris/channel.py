@@ -150,7 +150,7 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig) -> LargeScaleParams:
         beta_ap_ris[m] * array_response(
             cfg.n_ris, (ap[m] - layout.ris_pos) / d_ap_ris[m],
             d_ap_ris[m], lam)
-        for m in range(cfg.m_ap)
+        for m in range(cfg.m_ap) if cfg.n_ris > 0
     ]
     H_ris = (np.array(h_ris_rows) if cfg.n_ris > 0
              else np.zeros((cfg.m_ap, 0), dtype=complex))

@@ -5,7 +5,8 @@ that echoes every resolved parameter.  Configuration comes from Table-style
 defaults, overridden by an optional ``key = value`` config file, overridden
 by command-line flags.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
+Exit codes: 0 success, 1 configuration/validation error or a degenerate
+drawn geometry, 2 I/O error.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import __version__
 from .experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
                           DEFAULT_HEIGHTS, DEFAULT_KAPPAS, DEFAULT_N_LIST,
                           EXPERIMENT_KINDS, ExperimentSpec, run_experiment)
-from .geometry import ConfigError, SimConfig
+from .geometry import ConfigError, SimConfig, SimulationError
 
 
 def _config_keys(kind: type) -> set:
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
         csv_path = run(spec, args.out, workers=args.workers)
     except ConfigError as exc:
         print(f"cfris: invalid configuration: {exc}", file=sys.stderr)
+        return 1
+    except SimulationError as exc:
+        print(f"cfris: simulation failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cfris: I/O error: {exc}", file=sys.stderr)

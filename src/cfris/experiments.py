@@ -12,18 +12,32 @@ Three studies are provided:
 Every trial draws its randomness from a substream derived deterministically
 from (master_seed, trial_index), so results are bit-identical regardless of
 how many workers execute them.  Positions and fading are redrawn each trial.
+
+The sweep points of a study share their draws.  Trial index t of every
+point uses the same substream, and the draws of a smaller RIS are a prefix
+of those of a larger one, so one realization per trial index, drawn at the
+largest element count, serves every (RIS size, kappa) point; kappa enters
+only the power split and the SINR.  A different UAV height or antenna tilt
+changes the large-scale terms, so each (height, tilt) pair gets its own
+large-scale pass on the same substream.  The paired no-RIS reference of a
+RIS gain is the zero-element evaluation of the same realization.  A study
+runs all its points in one pass over the trial indices, in one process
+pool when it has more than one worker.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .beamforming import (RisConfig, cb_precoders, gamma_analytic,
                           ppa_allocate, ris_align_uav)
-from .channel import aggregate_channel, draw_channels, large_scale
+from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
+                      draw_channels, large_scale)
 from .geometry import ConfigError, SimConfig, place_nodes
 from .link import rate_bps, ris_gain_db, sinr_all
 
@@ -71,6 +85,9 @@ class ExperimentSpec:
             raise ConfigError("heights: need a non-empty list of heights > 0")
         if self.kind == "ris-gain" and any(int(n) < 1 for n in self.n_list):
             raise ConfigError("n_list: ris-gain needs n_ris >= 1")
+        if self.kind == "ris-gain" and self.base.kappa == 0.0:
+            # no UAV power: both UAV SINRs are 0 and the gain is undefined
+            raise ConfigError("kappa: ris-gain needs kappa > 0")
         if not self.scenarios:
             raise ConfigError("scenarios: need at least one CDF scenario")
 
@@ -94,17 +111,27 @@ def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, rates: np.ndarray):
         raise RuntimeError("rate outside the coarse sanity bound")
 
 
-def run_trial(cfg: SimConfig, trial_index: int) -> TrialResult:
-    """Run one end-to-end trial on its own substream.
-
-    Raises SimulationError when the drawn geometry is degenerate.
-    """
+def _draw(cfg: SimConfig, trial_index: int):
+    """Large-scale parameters and one channel realization at cfg.n_ris."""
     rng = trial_rng(cfg.master_seed, trial_index)
     layout = place_nodes(cfg, rng)
     ls = large_scale(layout, cfg)
-    cs = draw_channels(ls, layout, cfg, rng)
+    return ls, draw_channels(ls, layout, cfg, rng)
 
-    if cfg.n_ris > 0:
+
+def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
+              n_ris: int, kappas) -> dict:
+    """SINR and rates per kappa on the first n_ris RIS elements.
+
+    Every RIS quantity is element-wise in n, so a prefix of a larger
+    realization is exactly the realization of the smaller RIS.
+    Raises SimulationError when the drawn geometry is degenerate.
+    """
+    ls = replace(ls, H_ris=ls.H_ris[:, :n_ris],
+                 a_ris_user=ls.a_ris_user[:n_ris])
+    cs = replace(cs, H_ris=cs.H_ris[:, :n_ris],
+                 h_ris_user=cs.h_ris_user[:n_ris])
+    if n_ris > 0:
         ris = ris_align_uav(cs.H_ris, cs.h_ris_user[:, 0], cs.h_direct[:, 0])
     else:
         ris = RisConfig.none()
@@ -112,44 +139,127 @@ def run_trial(cfg: SimConfig, trial_index: int) -> TrialResult:
     G = aggregate_channel(cs, ris)
     W = cb_precoders(G)
     gamma = gamma_analytic(ls, ris)
-    pa = ppa_allocate(gamma, cfg.kappa, cfg.p_d_w)
-    sinr = sinr_all(G, W, pa.eta, cfg.noise_power_w)
-    rates = rate_bps(sinr, cfg.bandwidth_hz)
-
-    gain = None
-    if cfg.n_ris > 0:
-        # Paired comparison: same direct realization, RIS terms removed.
-        gamma0 = gamma_analytic(ls, RisConfig.none())
-        pa0 = ppa_allocate(gamma0, cfg.kappa, cfg.p_d_w)
-        sinr0 = sinr_all(cs.h_direct, np.conj(cs.h_direct), pa0.eta,
-                         cfg.noise_power_w)
-        gain = ris_gain_db(float(sinr[0]), float(sinr0[0]))
-
-    _sanity_check_rates(cfg, G, rates)
-    return TrialResult(trial_index=trial_index, rates_bps=rates, sinr=sinr,
-                       ris_gain_db=gain)
+    out = {}
+    for kappa in kappas:
+        pa = ppa_allocate(gamma, kappa, cfg.p_d_w)
+        sinr = sinr_all(G, W, pa.eta, cfg.noise_power_w)
+        rates = rate_bps(sinr, cfg.bandwidth_hz)
+        _sanity_check_rates(cfg, G, rates)
+        out[kappa] = sinr, rates
+    return out
 
 
-def _run_chunk(args):
-    cfg, indices = args
-    return [run_trial(cfg, i) for i in indices]
+def _groups(points):
+    """Sweep points that share every draw, in order of first appearance.
+
+    Points that differ only in n_ris and kappa share one realization,
+    drawn at their largest n_ris.  Each group is (draw config, the kappas
+    to evaluate per n_ris, [(point index, n_ris, kappa)]); every RIS
+    point's kappa is also evaluated at n_ris = 0, the paired no-RIS
+    reference of its gain.
+    """
+    members = {}
+    for j, p in enumerate(points):
+        key = p.with_overrides(n_ris=0, kappa=0.0)
+        members.setdefault(key, []).append((j, p.n_ris, p.kappa))
+    groups = []
+    for key, group in members.items():
+        evals = {}
+        for _, n_ris, kappa in group:
+            evals.setdefault(n_ris, set()).add(kappa)
+            if n_ris > 0:
+                evals.setdefault(0, set()).add(kappa)
+        groups.append((key.with_overrides(n_ris=max(evals)),
+                       {n: sorted(k) for n, k in evals.items()}, group))
+    return groups
+
+
+class PointResults(NamedTuple):
+    """Every trial of one sweep point; row t holds trial index t."""
+
+    rates_bps: np.ndarray     # (T, K) per-user, column 0 = UAV
+    sinr: np.ndarray          # (T, K) linear
+    ris_gain_db: np.ndarray   # (T,) paired UAV gain, NaN without a RIS
+
+
+def _run_chunk(args) -> list[PointResults]:
+    """Evaluate every sweep point on one chunk of trial indices."""
+    points, chunk = args
+    n = len(chunk)
+    rates = [np.empty((n, p.n_users)) for p in points]
+    sinrs = [np.empty((n, p.n_users)) for p in points]
+    gains = [np.full(n, np.nan) for p in points]
+    groups = _groups(points)
+    for row, trial_index in enumerate(chunk):
+        for draw_cfg, evals, group in groups:
+            ls, cs = _draw(draw_cfg, trial_index)
+            out = {n: _evaluate(draw_cfg, ls, cs, n, kappas)
+                   for n, kappas in evals.items()}
+            for j, n_ris, kappa in group:
+                sinr, rates[j][row] = out[n_ris][kappa]
+                sinrs[j][row] = sinr
+                if n_ris > 0:
+                    sinr0, _ = out[0][kappa]
+                    gains[j][row] = ris_gain_db(float(sinr[0]),
+                                                float(sinr0[0]))
+    return [PointResults(*arrays) for arrays in zip(rates, sinrs, gains)]
+
+
+def _plan_chunks(trials: int, workers: int):
+    """Worker processes and contiguous trial-index chunks for one sweep.
+
+    Forking more processes than chunks or usable CPUs buys nothing, so
+    the pool is min(workers, trials, CPUs), a chunk holding at least one
+    trial; four chunks per process even out their run times.
+    """
+    procs = max(1, min(workers, trials, len(os.sched_getaffinity(0))))
+    chunks = [range(int(s[0]), int(s[-1]) + 1)
+              for s in np.array_split(np.arange(trials), 4 * procs)
+              if s.size]
+    return procs, chunks
+
+
+def run_sweep(points, trials: int | None = None,
+              workers: int = 1) -> list[PointResults]:
+    """All trials of every sweep point, in one pass over the trial indices.
+
+    ``points`` are SimConfigs sharing every field but n_ris, kappa,
+    h_uav and tilt_deg; trial index t of every point is drawn from
+    ``trial_rng(master_seed, t)``.
+    """
+    n = points[0].trials if trials is None else trials
+    procs, chunks = _plan_chunks(n, workers)
+    tasks = [(points, chunk) for chunk in chunks]
+    if procs == 1:
+        parts = [_run_chunk(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            parts = list(pool.map(_run_chunk, tasks))
+    return [PointResults(*map(np.concatenate, zip(*per_chunk)))
+            for per_chunk in zip(*parts)]
+
+
+def _trial_result(cfg: SimConfig, res: PointResults, row: int,
+                  trial_index: int) -> TrialResult:
+    gain = float(res.ris_gain_db[row]) if cfg.n_ris > 0 else None
+    return TrialResult(trial_index=trial_index, rates_bps=res.rates_bps[row],
+                       sinr=res.sinr[row], ris_gain_db=gain)
+
+
+def run_trial(cfg: SimConfig, trial_index: int) -> TrialResult:
+    """Run one end-to-end trial on its own substream.
+
+    Raises SimulationError when the drawn geometry is degenerate.
+    """
+    (res,) = _run_chunk(([cfg], (trial_index,)))
+    return _trial_result(cfg, res, 0, trial_index)
 
 
 def run_trials(cfg: SimConfig, trials: int | None = None,
                workers: int = 1) -> list[TrialResult]:
     """All trials of one sweep point, ordered by trial index."""
-    n = cfg.trials if trials is None else trials
-    if workers <= 1:
-        results = [run_trial(cfg, i) for i in range(n)]
-    else:
-        splits = [s for s in np.array_split(np.arange(n), workers * 4)
-                  if s.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = pool.map(_run_chunk, [(cfg, [int(i) for i in s])
-                                        for s in splits])
-            results = [r for chunk in out for r in chunk]
-    results.sort(key=lambda r: r.trial_index)
-    return results
+    (res,) = run_sweep([cfg], trials, workers)
+    return [_trial_result(cfg, res, i, i) for i in range(len(res.sinr))]
 
 
 def likely_rate_95(samples) -> float:
@@ -161,10 +271,6 @@ def likely_rate_95(samples) -> float:
     return float(x[(n + 19) // 20 - 1])   # 1-based rank ceil(0.05 n)
 
 
-def _collect(results, index: int) -> np.ndarray:
-    return np.array([r.rates_bps[index] for r in results])
-
-
 def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
                 n_list=DEFAULT_N_LIST, trials: int | None = None,
                 workers: int = 1):
@@ -174,26 +280,25 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
     ``n_list``, and a kappa-independent GUE-only baseline (no UAV, no RIS,
     full power shared among GUEs).
     """
-    rows = []
     systems = [("no-ris", 0)] + [(f"ris-n{int(n)}", int(n)) for n in n_list]
-    for name, n_ris in systems:
-        for kappa in kappa_list:
-            run_cfg = cfg.with_overrides(n_ris=n_ris, kappa=float(kappa))
-            results = run_trials(run_cfg, trials, workers)
-            rows.append({
-                "system": name,
-                "kappa": float(kappa),
-                "gue_rate_bps": likely_rate_95(_collect(results, 1)),
-                "uav_rate_bps": likely_rate_95(_collect(results, 0)),
-            })
+    grid = [(name, n_ris, float(kappa)) for name, n_ris in systems
+            for kappa in kappa_list]
+    points = [cfg.with_overrides(n_ris=n_ris, kappa=kappa)
+              for _, n_ris, kappa in grid]
     # GUE-only baseline: zero UAV power is equivalent to removing the UAV,
     # the full budget is then shared among the GUEs.
-    base_cfg = cfg.with_overrides(n_ris=0, kappa=0.0)
-    results = run_trials(base_cfg, trials, workers)
+    points.append(cfg.with_overrides(n_ris=0, kappa=0.0))
+    *results, baseline = run_sweep(points, trials, workers)
+    rows = [{
+        "system": name,
+        "kappa": kappa,
+        "gue_rate_bps": likely_rate_95(res.rates_bps[:, 1]),
+        "uav_rate_bps": likely_rate_95(res.rates_bps[:, 0]),
+    } for (name, _, kappa), res in zip(grid, results)]
     rows.append({
         "system": "no-uav",
         "kappa": None,
-        "gue_rate_bps": likely_rate_95(_collect(results, 1)),
+        "gue_rate_bps": likely_rate_95(baseline.rates_bps[:, 1]),
         "uav_rate_bps": 0.0,
     })
     return rows
@@ -211,18 +316,18 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS,
     Emits sorted (rate, probability) pairs for the UAV and for GUE k=1.
     The RIS size of a with-RIS scenario is the base configuration's n_ris.
     """
+    if any(with_ris for _, _, with_ris in scenarios) and cfg.n_ris == 0:
+        raise ConfigError("scenarios: with_ris scenario requires "
+                          "n_ris >= 1 in the base config")
+    points = [cfg.with_overrides(kappa=float(kappa),
+                                 tilt_deg=float(tilt_deg),
+                                 n_ris=cfg.n_ris if with_ris else 0)
+              for kappa, tilt_deg, with_ris in scenarios]
     rows = []
-    for kappa, tilt_deg, with_ris in scenarios:
-        n_ris = cfg.n_ris if with_ris else 0
-        if with_ris and n_ris == 0:
-            raise ConfigError("scenarios: with_ris scenario requires "
-                              "n_ris >= 1 in the base config")
-        run_cfg = cfg.with_overrides(kappa=float(kappa),
-                                     tilt_deg=float(tilt_deg), n_ris=n_ris)
-        results = run_trials(run_cfg, trials, workers)
-        label = scenario_label(kappa, tilt_deg, with_ris)
+    for scenario, res in zip(scenarios, run_sweep(points, trials, workers)):
+        label = scenario_label(*scenario)
         for user, idx in (("uav", 0), ("gue1", 1)):
-            rates = np.sort(_collect(results, idx))
+            rates = np.sort(res.rates_bps[:, idx])
             prob = np.arange(1, rates.size + 1) / rates.size
             rows.extend({"scenario": label, "user": user,
                          "rate_bps": float(r), "prob": float(p)}
@@ -237,19 +342,16 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
 
     Rows are ordered heights-major to match the sweep definition.
     """
-    rows = []
-    for h_uav in heights:
-        for n_ris in n_list:
-            run_cfg = cfg.with_overrides(n_ris=int(n_ris),
-                                         h_uav=float(h_uav))
-            results = run_trials(run_cfg, trials, workers)
-            gains = np.array([r.ris_gain_db for r in results], dtype=float)
-            rows.append({
-                "n_ris": int(n_ris),
-                "h_uav_m": float(h_uav),
-                "mean_gain_db": float(np.mean(gains)),
-            })
-    return rows
+    grid = [(int(n_ris), float(h_uav)) for h_uav in heights
+            for n_ris in n_list]
+    points = [cfg.with_overrides(n_ris=n_ris, h_uav=h_uav)
+              for n_ris, h_uav in grid]
+    results = run_sweep(points, trials, workers)
+    return [{
+        "n_ris": n_ris,
+        "h_uav_m": h_uav,
+        "mean_gain_db": float(np.mean(res.ris_gain_db)),
+    } for (n_ris, h_uav), res in zip(grid, results)]
 
 
 def run_experiment(spec: ExperimentSpec, trials: int | None = None,

@@ -151,6 +151,27 @@ class TestMain:
         assert main(["--kappa", "1.5"]) == 1
         assert "kappa" in capsys.readouterr().err
 
+    def test_ris_gain_without_uav_power_exit_1(self, tmp_path, capsys):
+        # with kappa = 0 both UAV SINRs are 0 and the gain is undefined
+        code = main(["--experiment", "ris-gain", "--kappa", "0",
+                     "--n-ris", "4,8", "--heights", "100", "--trials", "20",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "kappa" in capsys.readouterr().err
+        assert not (tmp_path / "ris_gain.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_degenerate_geometry_exit_1(self, tmp_path, capsys, workers):
+        # GUE channel strengths underflow to 0 in a 1e100 m wide area
+        path = tmp_path / "huge.cfg"
+        path.write_text("area_side = 1e100\n")
+        code = main(["--config", str(path), "--experiment", "cdf",
+                     "--n-ris", "2", "--trials", "20", "--workers", workers,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "simulation failed: degenerate geometry" in \
+            capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
 

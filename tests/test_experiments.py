@@ -1,10 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from cfris import (ConfigError, ExperimentSpec, SimConfig, likely_rate_95,
                    rate_cdf, rate_region, ris_gain_sweep, run_trial,
                    run_trials)
-from cfris.experiments import run_experiment, scenario_label
+from cfris.experiments import (_plan_chunks, run_experiment, run_sweep,
+                               scenario_label)
 
 SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, trials=40, master_seed=11)
 
@@ -61,6 +64,101 @@ class TestRunTrial:
         assert r0.ris_gain_db is None
 
 
+def _per_point(cfg, trials):
+    """Reference: every trial of one sweep point run on its own."""
+    results = [run_trial(cfg, i) for i in range(trials)]
+    return (np.array([r.rates_bps for r in results]),
+            [r.ris_gain_db for r in results])
+
+
+class TestSweepEquivalence:
+    """Sweeps give exactly what per-point trials give, point by point."""
+
+    TRIALS = 25
+
+    def test_rate_region_matches_per_point_trials(self):
+        cfg = SMALL.with_overrides(tilt_deg=5.0, h_uav=60.0)
+        kappas, n_list = (0.05, 0.3), (3, 8)
+        rows = rate_region(cfg, kappa_list=kappas, n_list=n_list,
+                           trials=self.TRIALS)
+        expected = []
+        for name, n_ris in (("no-ris", 0), ("ris-n3", 3), ("ris-n8", 8)):
+            for kappa in kappas:
+                rates, _ = _per_point(
+                    cfg.with_overrides(n_ris=n_ris, kappa=kappa),
+                    self.TRIALS)
+                expected.append({
+                    "system": name, "kappa": kappa,
+                    "gue_rate_bps": likely_rate_95(rates[:, 1]),
+                    "uav_rate_bps": likely_rate_95(rates[:, 0])})
+        rates, _ = _per_point(cfg.with_overrides(n_ris=0, kappa=0.0),
+                              self.TRIALS)
+        expected.append({"system": "no-uav", "kappa": None,
+                         "gue_rate_bps": likely_rate_95(rates[:, 1]),
+                         "uav_rate_bps": 0.0})
+        assert rows == expected
+
+    def test_rate_cdf_matches_per_point_trials(self):
+        cfg = SMALL.with_overrides(n_ris=6)
+        scenarios = ((0.1, 15.0, False), (0.33, -5.0, False),
+                     (0.1, 15.0, True), (0.2, -5.0, True))
+        rows = rate_cdf(cfg, scenarios=scenarios, trials=self.TRIALS)
+        for kappa, tilt, with_ris in scenarios:
+            rates, _ = _per_point(cfg.with_overrides(
+                kappa=kappa, tilt_deg=tilt, n_ris=6 if with_ris else 0),
+                self.TRIALS)
+            label = scenario_label(kappa, tilt, with_ris)
+            for user, idx in (("uav", 0), ("gue1", 1)):
+                got = [r["rate_bps"] for r in rows
+                       if r["scenario"] == label and r["user"] == user]
+                assert np.array_equal(got, np.sort(rates[:, idx]))
+
+    def test_ris_gain_matches_per_point_trials(self):
+        n_list, heights = (2, 5, 8), (30.0, 120.0)
+        cfg = SMALL.with_overrides(kappa=0.2, tilt_deg=-5.0)
+        rows = ris_gain_sweep(cfg, n_list=n_list, heights=heights,
+                              trials=self.TRIALS)
+        expected = []
+        for h_uav in heights:
+            for n_ris in n_list:
+                _, gains = _per_point(
+                    cfg.with_overrides(n_ris=n_ris, h_uav=h_uav),
+                    self.TRIALS)
+                expected.append({"n_ris": n_ris, "h_uav_m": h_uav,
+                                 "mean_gain_db": float(np.mean(gains))})
+        assert rows == expected
+
+    def test_sweep_arrays_match_run_trial(self):
+        # mixed groups: N = 0 and RIS prefixes, kappa = 0 (NaN gain)
+        points = [SMALL.with_overrides(n_ris=n, kappa=k, h_uav=h)
+                  for h in (40.0, 200.0) for n in (0, 3, 8)
+                  for k in (0.0, 0.1, 0.6)]
+        for cfg, res in zip(points, run_sweep(points, trials=self.TRIALS),
+                            strict=True):
+            ref = [run_trial(cfg, i) for i in range(self.TRIALS)]
+            assert np.array_equal(res.rates_bps, [r.rates_bps for r in ref])
+            assert np.array_equal(res.sinr, [r.sinr for r in ref])
+            gains = [np.nan if r.ris_gain_db is None else r.ris_gain_db
+                     for r in ref]
+            assert np.array_equal(res.ris_gain_db, gains, equal_nan=True)
+
+    def test_ris_gain_pinned_values(self):
+        rows = ris_gain_sweep(SMALL, n_list=(4, 8), heights=(50.0, 150.0),
+                              trials=self.TRIALS)
+        pinned = [0.10828458476406683, 0.18638358745870007,
+                  0.14017009296077262, 0.21622626706760298]
+        for row, value in zip(rows, pinned, strict=True):
+            assert row["mean_gain_db"] == pytest.approx(value, rel=1e-12)
+
+    def test_multi_point_sweep_same_at_two_workers(self):
+        scenarios = ((0.1, 15.0, False), (0.33, -5.0, False),
+                     (0.1, 15.0, True))
+        serial = rate_cdf(SMALL, scenarios=scenarios, trials=30, workers=1)
+        parallel = rate_cdf(SMALL, scenarios=scenarios, trials=30,
+                            workers=2)
+        assert serial == parallel
+
+
 class TestWorkers:
     def test_worker_count_does_not_change_results(self):
         serial = run_trials(SMALL, trials=24, workers=1)
@@ -70,6 +168,16 @@ class TestWorkers:
             assert a.trial_index == b.trial_index
             assert np.array_equal(a.rates_bps, b.rates_bps)
             assert np.array_equal(a.sinr, b.sinr)
+
+    def test_pool_never_exceeds_cpus_or_chunks(self):
+        # computed only: no pool is started
+        procs, chunks = _plan_chunks(2000, 10**6)
+        assert 1 <= procs <= len(os.sched_getaffinity(0))
+        assert [i for c in chunks for i in c] == list(range(2000))
+        procs, chunks = _plan_chunks(3, 8)
+        assert procs <= len(chunks) == 3
+        assert [i for c in chunks for i in c] == [0, 1, 2]
+        assert _plan_chunks(40, 1)[0] == 1
 
 
 class TestLikelyRate95:
@@ -164,6 +272,7 @@ class TestExperimentSpec:
         {"kind": "rate-region", "kappas": (1.5,)},
         {"kind": "ris-gain", "n_list": (0,)},
         {"kind": "cdf", "heights": (-3.0,)},
+        {"kind": "ris-gain", "base": SMALL.with_overrides(kappa=0.0)},
     ])
     def test_validation(self, kw):
         kw.setdefault("base", SMALL)
