@@ -8,8 +8,8 @@ power-split trade-off, rate-CDF and RIS-gain studies of that setting.
 
 __version__ = "0.1.0"
 
-from .beamforming import (PowerAllocation, RisConfig, cb_precoders,
-                          gamma_analytic, ppa_allocate, ris_align_uav)
+from .beamforming import (PowerAllocation, RisConfig, gamma_analytic,
+                          ppa_allocate, ris_align_uav)
 from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
                       antenna_gain_db, array_response, draw_channels,
                       large_scale, pathloss_gue_db, pathloss_simple_linear,
@@ -25,7 +25,7 @@ __all__ = [
     "ChannelSet", "ConfigError", "ExperimentSpec", "LargeScaleParams",
     "NetworkLayout", "PowerAllocation", "RisConfig", "SimConfig",
     "SimulationError", "TrialResult", "aggregate_channel", "antenna_gain_db",
-    "array_response", "cb_precoders", "draw_channels", "gamma_analytic",
+    "array_response", "draw_channels", "gamma_analytic",
     "large_scale", "likely_rate_95", "pathloss_gue_db",
     "pathloss_simple_linear", "place_nodes", "ppa_allocate", "rate_bps",
     "rate_cdf", "rate_region", "rician_k_linear", "ris_align_uav",

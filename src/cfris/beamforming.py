@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel import LargeScaleParams, _rician_weights
+from .channel import LargeScaleParams
 from .geometry import ConfigError, SimulationError
 
 
@@ -56,35 +56,21 @@ def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
     return RisConfig(v=_kernels.align_phases(H_ris, h_ris_uav, h_uav))
 
 
-def cb_precoders(G: np.ndarray) -> np.ndarray:
-    """Conjugate (maximum-ratio) precoders: W = conj(G), elementwise."""
-    return np.conj(G)
-
-
 def gamma_analytic(ls: LargeScaleParams, ris: RisConfig) -> np.ndarray:
     """Closed-form second moment gamma[m,k] = E|g_{m,k}|^2 of the precoder.
 
-    gamma = |mu|^2 + sigma^2 where mu stacks the deterministic RIS
-    reflection term and the direct LoS term, and sigma^2 the two scatter
-    variances.  The RIS->UAV column is pure LoS so its variance term
-    vanishes; with unit-modulus coefficients the RIS quadratic form reduces
-    to sum_n |H_ris[m,n]|^2.
+    gamma = |mu|^2 + sigma^2: mu is the aggregate channel of the link means
+    beta * los, and sigma^2 adds the direct scatter power (beta * nlos)^2
+    and the RIS->user scatter power (beta_ru * nlos_ru)^2 collected over
+    the AP->RIS row, which unit-modulus coefficients reduce to
+    sum_n |H_ris[m,n]|^2.  The RIS->UAV leg has no scatter power.
     """
-    los_d, _ = _rician_weights(ls.rician_direct)
-    mu = los_d * ls.beta_direct * ls.h_bar_direct
-    var = ls.beta_direct ** 2 / (ls.rician_direct + 1.0)
-
     v = np.asarray(ris.v, dtype=complex)
-    if v.size:
-        los_ru, _ = _rician_weights(ls.rician_ris_user)
-        cascade = ls.H_ris @ (v[:, None] * ls.a_ris_user)   # (M, K)
-        mu = mu + (los_ru * ls.beta_ris_user)[None, :] * cascade
-        ris_var_w = np.where(np.isinf(ls.rician_ris_user), 0.0,
-                             ls.beta_ris_user ** 2
-                             / (ls.rician_ris_user + 1.0))
-        var = var + ris_var_w[None, :] \
-            * np.sum(np.abs(ls.H_ris) ** 2, axis=1)[:, None]
-    return np.abs(mu) ** 2 + var
+    mu = _kernels.aggregate(ls.beta_direct * ls.los_direct, ls.H_ris, v,
+                            ls.beta_ris_user * ls.los_ris_user)
+    ris_var = (ls.beta_ris_user * ls.nlos_ris_user) ** 2
+    return np.abs(mu) ** 2 + (ls.beta_direct * ls.nlos_direct) ** 2 \
+        + ris_var[None, :] * np.sum(np.abs(ls.H_ris) ** 2, axis=1)[:, None]
 
 
 def ppa_allocate(gamma: np.ndarray, kappa: float, p_d: float

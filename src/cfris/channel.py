@@ -7,8 +7,8 @@ Three link families are modeled:
 * AP -> UAV and all RIS legs: reference pathloss rho at 1 m with exponent
   alpha (gain rho * d^-alpha), the AP legs additionally weighted by the
   antenna pattern.
-* AP -> RIS and RIS -> UAV: pure line-of-sight (the RIS-UAV Rician factor
-  is taken to infinity); RIS -> GUE is Rician.
+* AP -> RIS and RIS -> UAV: pure line-of-sight (no scatter part);
+  RIS -> GUE is Rician.
 
 The RIS is an N-element uniform linear array along the x axis with
 half-wavelength spacing; line-of-sight phases use exp(-j 2 pi d / lambda)
@@ -84,17 +84,22 @@ def rician_k_linear(d_m):
     return 10.0 ** ((13.0 - 0.03 * d) / 10.0)
 
 
-def array_response(n_elems: int, node_dir, d_ref: float, wavelength: float):
+def array_response(n_elems: int, node_dir, d_ref, wavelength: float):
     """Unit-modulus ULA response for a half-wavelength x-axis array.
 
     Element n carries exp(-j 2 pi d_ref / lambda) * exp(-j pi n cos(phi))
     where cos(phi) is the x component of the unit direction toward the node.
+    Nodes may be stacked: ``node_dir`` (..., 3) and ``d_ref`` (...) give
+    responses (..., n_elems).
     """
-    node_dir = np.asarray(node_dir, dtype=float)
-    cos_phi = node_dir[0]
+    cos_phi = np.asarray(node_dir, dtype=float)[..., 0, None]
+    d_ref = np.asarray(d_ref, dtype=float)[..., None]
     n = np.arange(n_elems)
-    return np.exp(-1j * 2.0 * np.pi * d_ref / wavelength) \
-        * np.exp(-1j * np.pi * cos_phi * n)
+    # Phases are formed as real numbers, then made imaginary: a complex
+    # array divided by lambda rounds differently from a complex scalar, and
+    # at ~1e4 rad one ulp of phase shows in the SINR.
+    return np.exp(1j * (-2.0 * np.pi * d_ref / wavelength)) \
+        * np.exp(1j * (-np.pi * cos_phi * n))
 
 
 @dataclass(frozen=True)
@@ -102,22 +107,37 @@ class LargeScaleParams:
     """Deterministic per-link quantities for one layout.
 
     Shapes: M APs, K = U + 1 users (column 0 = UAV), N RIS elements.
-    ``H_ris`` is the full deterministic AP->RIS channel matrix (amplitude
-    included); ``a_ris_user`` holds the unit-modulus RIS->user responses.
-    The RIS->UAV Rician factor is +inf (pure LoS limit).
+    Each Rician link h = beta * (los + nlos * z), z unit complex normal,
+    is stored as its amplitude beta, its complex LoS part los (the weight
+    sqrt(K/(K+1)) times the LoS phasor or array response) and its real
+    scatter weight nlos = sqrt(1/(K+1)).  The RIS->UAV leg is pure LoS:
+    its los weight is 1 and its nlos 0.  ``H_ris`` is the full
+    deterministic AP->RIS channel matrix (amplitude included).
     """
 
-    beta_direct: np.ndarray      # (M, K) amplitude sqrt(zeta)
-    beta_ris_user: np.ndarray    # (K,) RIS->user amplitudes
-    rician_direct: np.ndarray    # (M, K) linear K factors
-    rician_ris_user: np.ndarray  # (K,) linear, inf at index 0
-    h_bar_direct: np.ndarray     # (M, K) unit LoS phasors
-    H_ris: np.ndarray            # (M, N) deterministic AP->RIS channels
-    a_ris_user: np.ndarray       # (N, K) unit array responses
+    beta_direct: np.ndarray     # (M, K) amplitude sqrt(zeta)
+    los_direct: np.ndarray      # (M, K) weighted unit LoS phasors
+    nlos_direct: np.ndarray     # (M, K) scatter weights
+    H_ris: np.ndarray           # (M, N) deterministic AP->RIS channels
+    beta_ris_user: np.ndarray   # (K,) RIS->user amplitudes
+    los_ris_user: np.ndarray    # (N, K) weighted unit array responses
+    nlos_ris_user: np.ndarray   # (K,) scatter weights, 0 at index 0
+
+
+def _rician_weights(k_linear):
+    """LoS / scatter amplitude weights sqrt(K/(K+1)), sqrt(1/(K+1))."""
+    return np.sqrt(k_linear / (k_linear + 1.0)), \
+        np.sqrt(1.0 / (k_linear + 1.0))
+
+
+def _nonzero(d):
+    # A node on top of the RIS has no direction; dividing its zero offset
+    # by 1 instead of 0 lets it see the RIS broadside.
+    return np.where(d > 0.0, d, 1.0)
 
 
 def large_scale(layout: NetworkLayout, cfg: SimConfig) -> LargeScaleParams:
-    """Evaluate every pathloss, antenna weight, Rician factor and LoS phase."""
+    """Evaluate every pathloss, antenna weight, Rician weight and LoS phase."""
     users = layout.user_pos                      # (K, 3), UAV first
     ap = layout.ap_pos
     lam = cfg.wavelength_m
@@ -134,9 +154,8 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig) -> LargeScaleParams:
         * pathloss_simple_linear(d_3d[:, 0], cfg)
     zeta[:, 1:] = 10.0 ** ((gain_db[:, 1:]
                             + pathloss_gue_db(d_3d[:, 1:], cfg)) / 10.0)
-    beta_direct = np.sqrt(zeta)
-    rician_direct = rician_k_linear(d_3d)
-    h_bar_direct = np.exp(-1j * 2.0 * np.pi * d_3d / lam)
+    los_w, nlos_direct = _rician_weights(rician_k_linear(d_3d))
+    los_direct = los_w * np.exp(-1j * 2.0 * np.pi * d_3d / lam)
 
     # AP -> RIS (deterministic LoS, antenna-weighted d^-alpha law)
     to_ris = layout.ris_pos[None, :] - ap
@@ -146,54 +165,36 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig) -> LargeScaleParams:
     beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(theta_ris,
                                                    cfg.tilt_deg) / 10.0)
                           * pathloss_simple_linear(d_ap_ris, cfg))
-    h_ris_rows = [
-        beta_ap_ris[m] * array_response(
-            cfg.n_ris, (ap[m] - layout.ris_pos) / d_ap_ris[m],
-            d_ap_ris[m], lam)
-        for m in range(cfg.m_ap) if cfg.n_ris > 0
-    ]
-    H_ris = (np.array(h_ris_rows) if cfg.n_ris > 0
-             else np.zeros((cfg.m_ap, 0), dtype=complex))
+    H_ris = beta_ap_ris[:, None] * array_response(
+        cfg.n_ris, (ap - layout.ris_pos) / _nonzero(d_ap_ris)[:, None],
+        d_ap_ris, lam)
 
-    # RIS -> user legs
+    # RIS -> user legs; the UAV leg is pure LoS
     from_ris = users - layout.ris_pos[None, :]
     d_ris_user = np.sqrt(np.sum(from_ris ** 2, axis=1))
-    beta_ris_user = np.sqrt(pathloss_simple_linear(d_ris_user, cfg))
-    rician_ris_user = rician_k_linear(d_ris_user)
-    rician_ris_user = np.asarray(rician_ris_user, dtype=float)
-    rician_ris_user[0] = np.inf
-    if cfg.n_ris > 0:
-        a_cols = [array_response(cfg.n_ris,
-                                 from_ris[k] / d_ris_user[k],
-                                 d_ris_user[k], lam)
-                  for k in range(cfg.n_users)]
-        a_ris_user = np.array(a_cols).T
-    else:
-        a_ris_user = np.zeros((0, cfg.n_users), dtype=complex)
+    los_ru, nlos_ris_user = _rician_weights(rician_k_linear(d_ris_user))
+    los_ru[0], nlos_ris_user[0] = 1.0, 0.0
+    a_ris_user = array_response(
+        cfg.n_ris, from_ris / _nonzero(d_ris_user)[:, None], d_ris_user,
+        lam).T
 
     return LargeScaleParams(
-        beta_direct=beta_direct, beta_ris_user=beta_ris_user,
-        rician_direct=rician_direct, rician_ris_user=rician_ris_user,
-        h_bar_direct=h_bar_direct, H_ris=H_ris, a_ris_user=a_ris_user)
+        beta_direct=np.sqrt(zeta), los_direct=los_direct,
+        nlos_direct=nlos_direct, H_ris=H_ris,
+        beta_ris_user=np.sqrt(pathloss_simple_linear(d_ris_user, cfg)),
+        los_ris_user=los_ru[None, :] * a_ris_user,
+        nlos_ris_user=nlos_ris_user)
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One small-scale realization of every channel in the network."""
+    """One small-scale realization of the fading channels.
+
+    The AP->RIS matrix is deterministic and lives in LargeScaleParams.
+    """
 
     h_direct: np.ndarray    # (M, K)
-    H_ris: np.ndarray       # (M, N), deterministic
     h_ris_user: np.ndarray  # (N, K), column 0 deterministic
-
-
-def _rician_weights(k_linear):
-    """LoS / scatter amplitude weights, with the K -> inf limit explicit."""
-    k = np.asarray(k_linear, dtype=float)
-    pure_los = np.isinf(k)
-    k_safe = np.where(pure_los, 1.0, k)
-    los = np.where(pure_los, 1.0, np.sqrt(k_safe / (k_safe + 1.0)))
-    nlos = np.where(pure_los, 0.0, np.sqrt(1.0 / (k_safe + 1.0)))
-    return los, nlos
 
 
 def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -207,47 +208,34 @@ def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return (z[..., 0] + 1j * z[..., 1]) * math.sqrt(0.5)
 
 
-def draw_channels(ls: LargeScaleParams, layout: NetworkLayout,
-                  cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
-    """Draw one Rician realization of the direct and RIS->user channels.
+def draw_channels(ls: LargeScaleParams,
+                  rng: np.random.Generator) -> ChannelSet:
+    """Draw one Rician realization h = beta * (los + nlos * z) of every link.
 
-    The AP->RIS matrix and the RIS->UAV column are deterministic; a fresh
-    generator state changes neither.  Draw order is fixed (direct scatter
-    first, then RIS->user scatter) so results are reproducible from the
-    generator state alone.
+    The direct scatter is drawn first, then the RIS->user scatter (none
+    when the RIS has no elements), so results are reproducible from the
+    generator state alone.  The RIS->UAV column has no scatter weight and
+    is the same for every generator state.
     """
-    m_ap, n_users = ls.beta_direct.shape
-    n_ris = ls.H_ris.shape[1]
-
-    scatter = complex_normals(rng, (m_ap, n_users))
-    los_w, nlos_w = _rician_weights(ls.rician_direct)
-    h_direct = ls.beta_direct * (los_w * ls.h_bar_direct + nlos_w * scatter)
-
-    if n_ris > 0:
-        scatter_ru = complex_normals(rng, (n_ris, n_users))
-        los_ru, nlos_ru = _rician_weights(ls.rician_ris_user)
-        h_ris_user = ls.beta_ris_user[None, :] * (
-            los_ru[None, :] * ls.a_ris_user
-            + nlos_ru[None, :] * scatter_ru)
-    else:
-        h_ris_user = np.zeros((0, n_users), dtype=complex)
-
-    return ChannelSet(h_direct=h_direct, H_ris=ls.H_ris.copy(),
-                      h_ris_user=h_ris_user)
+    scatter = complex_normals(rng, ls.beta_direct.shape)
+    h_direct = ls.beta_direct * (ls.los_direct + ls.nlos_direct * scatter)
+    scatter_ru = complex_normals(rng, ls.los_ris_user.shape)
+    h_ris_user = ls.beta_ris_user[None, :] * (
+        ls.los_ris_user + ls.nlos_ris_user[None, :] * scatter_ru)
+    return ChannelSet(h_direct=h_direct, h_ris_user=h_ris_user)
 
 
-def aggregate_channel(cs: ChannelSet, ris) -> np.ndarray:
+def aggregate_channel(ls: LargeScaleParams, cs: ChannelSet,
+                      ris) -> np.ndarray:
     """Combine direct and RIS-reflected paths into the served channel matrix.
 
     G[m, k] = h_direct[m, k] + sum_n H_ris[m, n] v[n] h_ris_user[n, k];
-    with no RIS elements G equals the direct matrix.
+    with no RIS elements the sum is empty and G equals the direct matrix.
     """
     v = np.asarray(ris.v, dtype=complex)
-    n_ris = cs.H_ris.shape[1]
+    n_ris = ls.H_ris.shape[1]
     if v.shape[0] != n_ris or cs.h_ris_user.shape[0] != n_ris:
         raise ConfigError(
             f"RIS size mismatch: v has {v.shape[0]} entries, "
             f"channels have {n_ris}")
-    if n_ris == 0:
-        return cs.h_direct.copy()
-    return _kernels.aggregate(cs.h_direct, cs.H_ris, v, cs.h_ris_user)
+    return _kernels.aggregate(cs.h_direct, ls.H_ris, v, cs.h_ris_user)

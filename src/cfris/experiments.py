@@ -26,7 +26,6 @@ pool when it has more than one worker.
 """
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -34,8 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beamforming import (RisConfig, cb_precoders, gamma_analytic,
-                          ppa_allocate, ris_align_uav)
+from .beamforming import gamma_analytic, ppa_allocate, ris_align_uav
 from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
                       draw_channels, large_scale)
 from .geometry import ConfigError, SimConfig, place_nodes
@@ -100,15 +98,19 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, rates: np.ndarray):
-    # Coherent upper bound: numerator can never exceed p_d (M max|g|)^2.
-    # A violation is an internal inconsistency, not a property of the
-    # drawn geometry (plain RuntimeError, not SimulationError).
-    g_max2 = float(np.max(np.abs(G)) ** 2)
-    cap = cfg.bandwidth_hz * math.log2(
-        1.0 + cfg.p_d_w * cfg.m_ap ** 2 * g_max2 / cfg.noise_power_w)
-    if np.any(rates < 0.0) or np.any(rates > cap):
-        raise RuntimeError("rate outside the coarse sanity bound")
+def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, gamma: np.ndarray,
+                        sinr: np.ndarray, rates: np.ndarray):
+    # Coherent upper bound: with eta = p_dl / gamma and p_dl <= p_d, the
+    # triangle inequality caps user k's signal at
+    # p_d (sum_m |G[m,k]|^2 / sqrt(gamma[m,k]))^2, a gamma = 0 term adding
+    # nothing.  A violation (or a NaN) is an internal inconsistency, not a
+    # property of the drawn geometry (plain RuntimeError, not
+    # SimulationError).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coherent = np.where(gamma > 0.0, np.abs(G) ** 2 / np.sqrt(gamma), 0.0)
+    cap = cfg.p_d_w * np.sum(coherent, axis=0) ** 2 / cfg.noise_power_w
+    if not (np.all(rates >= 0.0) and np.all(sinr <= cap * (1.0 + 1e-9))):
+        raise RuntimeError("SINR outside the coherent upper bound")
 
 
 def _draw(cfg: SimConfig, trial_index: int):
@@ -116,7 +118,7 @@ def _draw(cfg: SimConfig, trial_index: int):
     rng = trial_rng(cfg.master_seed, trial_index)
     layout = place_nodes(cfg, rng)
     ls = large_scale(layout, cfg)
-    return ls, draw_channels(ls, layout, cfg, rng)
+    return ls, draw_channels(ls, rng)
 
 
 def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
@@ -128,23 +130,18 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
     Raises SimulationError when the drawn geometry is degenerate.
     """
     ls = replace(ls, H_ris=ls.H_ris[:, :n_ris],
-                 a_ris_user=ls.a_ris_user[:n_ris])
-    cs = replace(cs, H_ris=cs.H_ris[:, :n_ris],
-                 h_ris_user=cs.h_ris_user[:n_ris])
-    if n_ris > 0:
-        ris = ris_align_uav(cs.H_ris, cs.h_ris_user[:, 0], cs.h_direct[:, 0])
-    else:
-        ris = RisConfig.none()
-
-    G = aggregate_channel(cs, ris)
-    W = cb_precoders(G)
+                 los_ris_user=ls.los_ris_user[:n_ris])
+    cs = replace(cs, h_ris_user=cs.h_ris_user[:n_ris])
+    ris = ris_align_uav(ls.H_ris, cs.h_ris_user[:, 0], cs.h_direct[:, 0])
+    G = aggregate_channel(ls, cs, ris)
+    W = np.conj(G)   # conjugate beamforming
     gamma = gamma_analytic(ls, ris)
     out = {}
     for kappa in kappas:
         pa = ppa_allocate(gamma, kappa, cfg.p_d_w)
         sinr = sinr_all(G, W, pa.eta, cfg.noise_power_w)
         rates = rate_bps(sinr, cfg.bandwidth_hz)
-        _sanity_check_rates(cfg, G, rates)
+        _sanity_check_rates(cfg, G, gamma, sinr, rates)
         out[kappa] = sinr, rates
     return out
 
@@ -268,6 +265,8 @@ def likely_rate_95(samples) -> float:
     n = x.size
     if n < 20:
         raise ValueError(f"need at least 20 samples, got {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     return float(x[(n + 19) // 20 - 1])   # 1-based rank ceil(0.05 n)
 
 
@@ -342,6 +341,9 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
 
     Rows are ordered heights-major to match the sweep definition.
     """
+    if cfg.kappa == 0.0:
+        # no UAV power: both UAV SINRs are 0 and the gain is undefined
+        raise ConfigError("kappa: ris-gain needs kappa > 0")
     grid = [(int(n_ris), float(h_uav)) for h_uav in heights
             for n_ris in n_list]
     points = [cfg.with_overrides(n_ris=n_ris, h_uav=h_uav)

@@ -7,6 +7,7 @@ the UAV are redrawn uniformly for every Monte-Carlo trial; the RIS is fixed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -55,6 +56,10 @@ class SimConfig:
     def __post_init__(self):
         if self.ris_x is None:
             object.__setattr__(self, "ris_x", self.area_side / 2.0)
+        for key in self.field_names():
+            value = getattr(self, key)
+            _check(not isinstance(value, float) or math.isfinite(value),
+                   key, "must be finite")
         _check(self.m_ap >= 1, "m_ap", "must be >= 1")
         _check(self.n_gue >= 1, "n_gue", "must be >= 1")
         _check(self.n_ris >= 0, "n_ris", "must be >= 0")

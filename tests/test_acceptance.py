@@ -102,15 +102,15 @@ def test_criterion_3_gamma_analytic_vs_monte_carlo():
     rng = np.random.default_rng(SEED + 2)
     layout = place_nodes(cfg, rng)
     ls = large_scale(layout, cfg)
-    cs0 = draw_channels(ls, layout, cfg, rng)
-    ris = ris_align_uav(cs0.H_ris, cs0.h_ris_user[:, 0], cs0.h_direct[:, 0])
+    cs0 = draw_channels(ls, rng)
+    ris = ris_align_uav(ls.H_ris, cs0.h_ris_user[:, 0], cs0.h_direct[:, 0])
     gamma = gamma_analytic(ls, ris)
 
     draws = 100_000
     acc = np.zeros_like(gamma)
     for _ in range(draws):
-        cs = draw_channels(ls, layout, cfg, rng)
-        acc += np.abs(aggregate_channel(cs, ris)) ** 2
+        cs = draw_channels(ls, rng)
+        acc += np.abs(aggregate_channel(ls, cs, ris)) ** 2
     rel = np.abs(acc / draws - gamma) / gamma
     worst = float(np.max(rel))
     failures = [] if worst < 0.02 else \

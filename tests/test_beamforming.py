@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cfris import (ConfigError, RisConfig, SimConfig, SimulationError,
-                   cb_precoders, draw_channels, gamma_analytic, large_scale,
-                   place_nodes, ppa_allocate, ris_align_uav)
+                   draw_channels, gamma_analytic, large_scale, place_nodes,
+                   ppa_allocate, ris_align_uav)
 
 
 def _random_instance(rng, m, n):
@@ -89,20 +89,6 @@ class TestRisAlignUav:
             assert _received_power(R, v, h0) <= p_star * (1 + 1e-9)
 
 
-class TestCbPrecoders:
-    def test_real_channel_unchanged(self):
-        g = np.array([[1.0, -2.0], [0.5, 3.0]], dtype=complex)
-        assert np.array_equal(cb_precoders(g), g)
-
-    def test_conjugation(self):
-        assert cb_precoders(np.array([[1 + 2j]]))[0, 0] == 1 - 2j
-
-    def test_involution(self):
-        rng = np.random.default_rng(5)
-        g = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        assert np.array_equal(cb_precoders(cb_precoders(g)), g)
-
-
 class TestGammaAnalytic:
     def _ls(self, cfg, seed):
         layout = place_nodes(cfg, np.random.default_rng(seed))
@@ -119,26 +105,30 @@ class TestGammaAnalytic:
         import dataclasses
         cfg = SimConfig(n_ris=0)
         _, ls = self._ls(cfg, 1)
-        for k_value in (0.0, np.inf):
-            ls_k = dataclasses.replace(
-                ls, rician_direct=np.full_like(ls.rician_direct, k_value))
+        phasors = ls.los_direct / np.abs(ls.los_direct)
+        rayleigh = dataclasses.replace(
+            ls, los_direct=np.zeros_like(phasors),
+            nlos_direct=np.ones_like(ls.nlos_direct))
+        los = dataclasses.replace(ls, los_direct=phasors,
+                                  nlos_direct=np.zeros_like(ls.nlos_direct))
+        for ls_k in (rayleigh, los):
             gamma = gamma_analytic(ls_k, RisConfig.none())
             assert np.allclose(gamma, ls.beta_direct ** 2, rtol=1e-12)
 
     def test_matches_monte_carlo_second_moment(self):
         from cfris import aggregate_channel
         cfg = SimConfig(m_ap=2, n_gue=1, n_ris=4)
-        layout, ls = self._ls(cfg, 2)
+        _, ls = self._ls(cfg, 2)
         rng = np.random.default_rng(77)
-        cs0 = draw_channels(ls, layout, cfg, rng)
-        ris = ris_align_uav(cs0.H_ris, cs0.h_ris_user[:, 0],
+        cs0 = draw_channels(ls, rng)
+        ris = ris_align_uav(ls.H_ris, cs0.h_ris_user[:, 0],
                             cs0.h_direct[:, 0])
         gamma = gamma_analytic(ls, ris)
         acc = np.zeros_like(gamma)
         trials = 100_000
         for _ in range(trials):
-            cs = draw_channels(ls, layout, cfg, rng)
-            acc += np.abs(aggregate_channel(cs, ris)) ** 2
+            cs = draw_channels(ls, rng)
+            acc += np.abs(aggregate_channel(ls, cs, ris)) ** 2
         rel = np.abs(acc / trials - gamma) / gamma
         assert np.max(rel) < 0.02
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ class TestArrayResponse:
             a = array_response(16, direction, rng.uniform(1, 100), 0.1578)
             assert np.allclose(np.abs(a), 1.0)
 
+    def test_stacked_nodes_match_single_calls(self):
+        # LoS phases reach ~1e4 rad at the longest links, where one ulp of
+        # the phase argument shows in the SINR: stacking nodes must not
+        # change a single bit
+        rng = np.random.default_rng(3)
+        directions = rng.normal(size=(2000, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        d_ref = rng.uniform(1.0, 600.0, 2000)
+        lam = CFG.wavelength_m
+        stacked = array_response(24, directions, d_ref, lam)
+        single = [array_response(24, u, d, lam)
+                  for u, d in zip(directions, d_ref)]
+        assert np.array_equal(stacked, single)
+        assert array_response(0, directions, d_ref, lam).shape == (2000, 0)
+
 
 def _single_link_layout(cfg, gue_pos, uav_pos):
     return NetworkLayout(
@@ -152,24 +168,41 @@ class TestLargeScale:
         assert large_scale(la, cfg_a).beta_ris_user[0] == \
             large_scale(lb, cfg_b).beta_ris_user[0]
 
-    def test_ris_uav_rician_is_infinite(self):
+    def test_ris_uav_leg_is_pure_los(self):
         layout = place_nodes(CFG, np.random.default_rng(0))
         ls = large_scale(layout, CFG)
-        assert np.isinf(ls.rician_ris_user[0])
-        assert np.all(np.isfinite(ls.rician_ris_user[1:]))
+        assert ls.nlos_ris_user[0] == 0.0
+        assert np.all(np.abs(ls.los_ris_user[:, 0]) == pytest.approx(1.0))
+        assert np.all(ls.nlos_ris_user[1:] > 0.0)
+
+    def test_node_on_the_ris_sees_it_broadside(self):
+        # zero distance has no direction: finite responses, no NaN
+        cfg = SimConfig(m_ap=1, n_gue=1, n_ris=4, h_ap=12.0)
+        ris = [cfg.ris_x, 0.0, cfg.h_ris]
+        layout = dataclasses.replace(
+            _single_link_layout(cfg, [5.0, 5.0, cfg.h_gue], ris),
+            ap_pos=np.array([ris]))
+        ls = large_scale(layout, cfg)
+        assert np.all(np.isfinite(ls.H_ris))
+        assert np.all(np.isfinite(ls.los_ris_user))
+        assert np.allclose(ls.los_ris_user[:, 0], ls.los_ris_user[0, 0])
 
     def test_all_amplitudes_nonnegative(self):
         layout = place_nodes(CFG, np.random.default_rng(3))
         ls = large_scale(layout, CFG)
         assert np.all(ls.beta_direct >= 0)
         assert np.all(ls.beta_ris_user >= 0)
-        assert np.all(ls.rician_direct >= 0)
+        assert np.all(ls.nlos_direct >= 0)
+        assert np.all(ls.nlos_ris_user >= 0)
 
     def test_los_entries_unit_modulus(self):
         layout = place_nodes(CFG, np.random.default_rng(6))
         ls = large_scale(layout, CFG)
-        assert np.allclose(np.abs(ls.h_bar_direct), 1.0)
-        assert np.allclose(np.abs(ls.a_ris_user), 1.0)
+        # unit-modulus LoS phasors: LoS and scatter weights split unit power
+        assert np.allclose(np.abs(ls.los_direct) ** 2 + ls.nlos_direct ** 2,
+                           1.0)
+        assert np.allclose(np.abs(ls.los_ris_user) ** 2
+                           + ls.nlos_ris_user ** 2, 1.0)
 
 
 class TestDrawChannels:
@@ -177,18 +210,16 @@ class TestDrawChannels:
         cfg = SimConfig(m_ap=2, n_gue=2, n_ris=4)
         layout = place_nodes(cfg, np.random.default_rng(1))
         ls = large_scale(layout, cfg)
-        ls_inf = dataclasses.replace(
-            ls, rician_direct=np.full_like(ls.rician_direct, np.inf))
-        cs = draw_channels(ls_inf, layout, cfg, np.random.default_rng(9))
-        assert np.allclose(cs.h_direct, ls.beta_direct * ls.h_bar_direct,
-                           rtol=1e-12)
+        ls_los = dataclasses.replace(
+            ls, nlos_direct=np.zeros_like(ls.nlos_direct))
+        cs = draw_channels(ls_los, np.random.default_rng(9))
+        assert np.array_equal(cs.h_direct, ls.beta_direct * ls.los_direct)
 
     def test_h_ris_deterministic_across_seeds(self):
         layout = place_nodes(CFG, np.random.default_rng(1))
         ls = large_scale(layout, CFG)
-        a = draw_channels(ls, layout, CFG, np.random.default_rng(10))
-        b = draw_channels(ls, layout, CFG, np.random.default_rng(20))
-        assert np.array_equal(a.H_ris, b.H_ris)
+        a = draw_channels(ls, np.random.default_rng(10))
+        b = draw_channels(ls, np.random.default_rng(20))
         assert np.array_equal(a.h_ris_user[:, 0], b.h_ris_user[:, 0])
         assert not np.array_equal(a.h_direct, b.h_direct)
 
@@ -201,7 +232,7 @@ class TestDrawChannels:
         trials = 100_000
         acc = np.zeros_like(ls.beta_direct)
         for _ in range(trials):
-            acc += np.abs(draw_channels(ls, layout, cfg, rng).h_direct) ** 2
+            acc += np.abs(draw_channels(ls, rng).h_direct) ** 2
         rel = np.abs(acc / trials - ls.beta_direct ** 2) \
             / ls.beta_direct ** 2
         assert np.max(rel) < 0.02
@@ -211,56 +242,56 @@ def _ris(v):
     return RisConfig(v=np.asarray(v, dtype=complex))
 
 
+def _ls(H_ris):
+    # aggregate_channel reads only the AP->RIS matrix of the link set
+    return SimpleNamespace(H_ris=H_ris)
+
+
 class TestAggregateChannel:
     def test_no_ris_returns_direct(self):
         cfg = SimConfig(n_ris=0)
         layout = place_nodes(cfg, np.random.default_rng(0))
-        cs = draw_channels(large_scale(layout, cfg), layout, cfg,
-                           np.random.default_rng(1))
-        g = aggregate_channel(cs, RisConfig.none())
+        ls = large_scale(layout, cfg)
+        cs = draw_channels(ls, np.random.default_rng(1))
+        g = aggregate_channel(ls, cs, RisConfig.none())
         assert np.array_equal(g, cs.h_direct)
 
     def test_single_term_arithmetic(self):
         cs = ChannelSet(h_direct=np.array([[1.0 + 0j]]),
-                        H_ris=np.array([[0.5j]]),
                         h_ris_user=np.array([[2.0 + 0j]]))
-        g = aggregate_channel(cs, _ris([1.0]))
+        g = aggregate_channel(_ls(np.array([[0.5j]])), cs, _ris([1.0]))
         assert g[0, 0] == pytest.approx(1.0 + 1.0j)
 
     def test_global_phase_keeps_modulus(self):
         rng = np.random.default_rng(5)
         n = 6
+        ls = _ls(rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
         cs = ChannelSet(
             h_direct=np.zeros((3, 2), dtype=complex),
-            H_ris=rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)),
             h_ris_user=rng.normal(size=(n, 2))
             + 1j * rng.normal(size=(n, 2)))
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        g1 = aggregate_channel(cs, _ris(v))
-        g2 = aggregate_channel(cs, _ris(v * np.exp(1j * 0.7)))
+        g1 = aggregate_channel(ls, cs, _ris(v))
+        g2 = aggregate_channel(ls, cs, _ris(v * np.exp(1j * 0.7)))
         assert np.allclose(np.abs(g1), np.abs(g2))
 
     def test_linear_in_v(self):
         rng = np.random.default_rng(8)
         n = 5
         h = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        cs = ChannelSet(
-            h_direct=h,
-            H_ris=rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n)),
-            h_ris_user=rng.normal(size=(n, 3))
-            + 1j * rng.normal(size=(n, 3)))
+        H_ris = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        h_ris_user = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         v1 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         v2 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        lhs = aggregate_channel(ChannelSet(np.zeros_like(h), cs.H_ris,
-                                           cs.h_ris_user), _ris(v1)) \
-            + aggregate_channel(ChannelSet(np.zeros_like(h), cs.H_ris,
-                                           cs.h_ris_user), _ris(v2))
-        combined = cs.H_ris @ (((v1 + v2))[:, None] * cs.h_ris_user)
+        reflected = ChannelSet(np.zeros_like(h), h_ris_user)
+        lhs = aggregate_channel(_ls(H_ris), reflected, _ris(v1)) \
+            + aggregate_channel(_ls(H_ris), reflected, _ris(v2))
+        combined = H_ris @ (((v1 + v2))[:, None] * h_ris_user)
         assert np.allclose(lhs, combined, rtol=1e-12, atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         cs = ChannelSet(h_direct=np.zeros((2, 2), dtype=complex),
-                        H_ris=np.zeros((2, 4), dtype=complex),
                         h_ris_user=np.zeros((4, 2), dtype=complex))
         with pytest.raises(ConfigError):
-            aggregate_channel(cs, _ris(np.ones(3)))
+            aggregate_channel(_ls(np.zeros((2, 4), dtype=complex)), cs,
+                              _ris(np.ones(3)))

@@ -63,6 +63,15 @@ class TestRunTrial:
             rtol=1e-12)
         assert r0.ris_gain_db is None
 
+    def test_single_ap_within_coherent_bound(self):
+        # GUE 4 has |G|^2 / gamma = 1.97 at the only AP: its SINR 0.786
+        # exceeds the old cap p_d M^2 max|G|^2 / noise = 0.771, yet stays
+        # below the coherent bound
+        cfg = SimConfig(m_ap=1, n_ris=20, kappa=0.1, master_seed=1)
+        r = run_trial(cfg, 57)
+        assert np.all(np.isfinite(r.rates_bps))
+        assert np.all(r.rates_bps >= 0.0)
+
 
 def _per_point(cfg, trials):
     """Reference: every trial of one sweep point run on its own."""
@@ -195,6 +204,15 @@ class TestLikelyRate95:
         with pytest.raises(ValueError):
             likely_rate_95(np.arange(19))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.arange(1.0, 32.0)
+        x[7] = bad
+        with pytest.raises(ValueError):
+            likely_rate_95(x)
+        with pytest.raises(ValueError):
+            likely_rate_95(np.full(31, bad))
+
     def test_order_insensitive(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(size=200)
@@ -256,6 +274,12 @@ class TestRisGainSweep:
         rows = ris_gain_sweep(SMALL, n_list=(2, 32), heights=(150.0,),
                               trials=60)
         assert rows[1]["mean_gain_db"] > rows[0]["mean_gain_db"]
+
+    def test_kappa_zero_rejected(self):
+        # no UAV power: the gain is undefined (it used to average to NaN)
+        with pytest.raises(ConfigError):
+            ris_gain_sweep(SMALL.with_overrides(kappa=0.0), n_list=(4,),
+                           heights=(100.0,), trials=20)
 
 
 class TestExperimentSpec:

@@ -29,7 +29,8 @@ class TestSimConfig:
     @pytest.mark.parametrize("kw", [
         {"kappa": 1.5}, {"kappa": -0.1}, {"m_ap": 0}, {"n_gue": 0},
         {"n_ris": -1}, {"p_d_w": 0.0}, {"area_side": -5.0},
-        {"trials": 0}, {"h_ap": 0.0},
+        {"trials": 0}, {"h_ap": 0.0}, {"rho_db": float("nan")},
+        {"tilt_deg": float("inf")}, {"area_side": float("inf")},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
