@@ -13,56 +13,59 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import platform
 import sys
 import time
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
-                          DEFAULT_HEIGHTS, DEFAULT_KAPPAS, DEFAULT_N_LIST,
-                          EXPERIMENT_KINDS, ExperimentSpec, run_experiment)
+from .experiments import (EXPERIMENT_KINDS, SWEEPS, ExperimentSpec,
+                          run_experiment)
 from .geometry import ConfigError, SimConfig, SimulationError
 
 
-def _config_keys(kind: type) -> set:
-    """SimConfig fields typed ``kind`` (or an optional ``kind``)."""
-    hints = typing.get_type_hints(SimConfig)
-    return {f.name for f in dataclasses.fields(SimConfig)
-            if kind in (hints[f.name], *typing.get_args(hints[f.name]))}
+def _field_type(hint) -> type:
+    """int or float, unwrapping an optional hint such as ``float | None``."""
+    return next(t for t in (hint, *typing.get_args(hint))
+                if t in (int, float))
 
 
-_INT_KEYS = _config_keys(int)
-_FLOAT_KEYS = _config_keys(float)
-_LIST_KEYS = {"kappas": float, "n_list": int, "heights": float}
-_STR_KEYS = {"experiment"}
+_FIELD_TYPES = {name: _field_type(hint)
+                for name, hint in typing.get_type_hints(SimConfig).items()}
+# Every file key and its type; a sweep holds values of the field it sweeps.
+_TYPES = {**_FIELD_TYPES, "experiment": str,
+          **{sweep: _FIELD_TYPES[field] for sweep, field in SWEEPS.items()}}
+# Spec keys of the file and flags, and the ExperimentSpec field each sets.
+_SPEC_KEYS = {"experiment": "kind", **{sweep: sweep for sweep in SWEEPS}}
+# Flags named otherwise than the field they set.
+_RENAMES = {"seed": "master_seed", "uav_height": "h_uav"}
 
 CSV_NAMES = {"rate-region": "rate_region.csv", "cdf": "rate_cdf.csv",
              "ris-gain": "ris_gain.csv"}
 
 
-def _parse_scalar(key, raw, line_no):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"line {line_no}: {key}: cannot parse {raw!r}") from None
-    return raw
+def _parse(key, raw, where):
+    """``raw`` cast to the type of ``key``, a tuple for a sweep key.
 
-
-def _parse_list(raw, cast, key, line_no=None):
-    where = f"line {line_no}: " if line_no is not None else ""
+    ``where`` names the source in error messages.
+    """
+    cast = _TYPES[key]
+    if key not in SWEEPS:
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: cannot parse {raw!r}") from None
     items = [s.strip() for s in str(raw).split(",") if s.strip()]
     if not items:
-        raise ConfigError(f"{where}{key}: empty list")
+        raise ConfigError(f"{where}: empty list")
     try:
-        return [cast(s) for s in items]
+        return tuple(cast(s) for s in items)
     except ValueError:
         raise ConfigError(
-            f"{where}{key}: cannot parse {raw!r} as a list") from None
+            f"{where}: cannot parse {raw!r} as a list") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -77,12 +80,9 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"line {line_no}: expected 'key = value', "
                               f"got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in _LIST_KEYS:
-            values[key] = _parse_list(raw, _LIST_KEYS[key], key, line_no)
-        elif key in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
-            values[key] = _parse_scalar(key, raw, line_no)
-        else:
+        if key not in _TYPES:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        values[key] = _parse(key, raw, f"line {line_no}: {key}")
     return values
 
 
@@ -90,59 +90,32 @@ def load_config(path: str | None, overrides: dict
                 ) -> tuple[SimConfig, ExperimentSpec]:
     """Resolve defaults, then file values, then flag overrides.
 
-    ``overrides`` maps flag names to already-typed values (None = absent);
-    list-valued flags may carry either one value (a plain parameter
-    override) or several (a sweep definition).
+    ``overrides`` maps flag names to values (None = absent); flags that
+    name no config key are ignored.  A flag on a swept field takes a comma
+    list: its first value sets the field, and two or more also define the
+    sweep.  ``no_ris`` forces n_ris to 0.
     """
     values = _read_config_file(path) if path else {}
-
-    kind = overrides.get("experiment") or values.get("experiment") \
-        or "rate-region"
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment: unknown kind {kind!r} "
-                          f"(expected one of {', '.join(EXPERIMENT_KINDS)})")
-
-    cfg_kw = {k: v for k, v in values.items()
-              if k in _INT_KEYS | _FLOAT_KEYS}
-    sweeps = {k: values[k] for k in _LIST_KEYS if k in values}
-
-    if overrides.get("seed") is not None:
-        cfg_kw["master_seed"] = overrides["seed"]
-    if overrides.get("trials") is not None:
-        cfg_kw["trials"] = overrides["trials"]
-    if overrides.get("uav_height") is not None:
-        cfg_kw["h_uav"] = overrides["uav_height"]
-    if overrides.get("tilt_deg") is not None:
-        cfg_kw["tilt_deg"] = overrides["tilt_deg"]
-
-    kappa = overrides.get("kappa")
-    if kappa is not None:
-        kappas = _parse_list(kappa, float, "kappa")
-        cfg_kw["kappa"] = kappas[0]
-        if len(kappas) > 1:
-            sweeps["kappas"] = kappas
-    n_ris = overrides.get("n_ris")
-    if n_ris is not None:
-        n_values = _parse_list(n_ris, int, "n_ris")
-        cfg_kw["n_ris"] = n_values[0]
-        if len(n_values) > 1:
-            sweeps["n_list"] = n_values
-    if overrides.get("heights") is not None:
-        sweeps["heights"] = _parse_list(overrides["heights"], float,
-                                        "heights")
+    swept = {field: sweep for sweep, field in SWEEPS.items()}
+    for flag, raw in overrides.items():
+        key = _RENAMES.get(flag, flag)
+        if raw is None or key not in _TYPES:
+            continue
+        sweep = swept.get(key)
+        if sweep is None:
+            values[key] = _parse(key, raw, flag)
+        else:
+            items = _parse(sweep, raw, flag)
+            values[key] = items[0]
+            if len(items) > 1:
+                values[sweep] = items
     if overrides.get("no_ris"):
-        cfg_kw["n_ris"] = 0
+        values["n_ris"] = 0
 
-    cfg = SimConfig(**cfg_kw)
-
-    default_n = DEFAULT_GAIN_N_LIST if kind == "ris-gain" else DEFAULT_N_LIST
-    spec = ExperimentSpec(
-        kind=kind, base=cfg,
-        kappas=tuple(sweeps.get("kappas", DEFAULT_KAPPAS)),
-        n_list=tuple(sweeps.get("n_list", default_n)),
-        heights=tuple(sweeps.get("heights", DEFAULT_HEIGHTS)),
-        scenarios=DEFAULT_CDF_SCENARIOS)
-    return cfg, spec
+    spec_kw = {attr: values.pop(key) for key, attr in _SPEC_KEYS.items()
+               if key in values}
+    cfg = SimConfig(**values)
+    return cfg, ExperimentSpec(base=cfg, **spec_kw)
 
 
 def _fmt(value) -> str:
@@ -186,6 +159,8 @@ def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
     manifest = {
         "tool": "cfris",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "experiment": spec.kind,
         "master_seed": spec.base.master_seed,
         "trials_per_point": spec.base.trials,

@@ -49,6 +49,10 @@ DEFAULT_HEIGHTS = (16.0, 100.0, 300.0)
 # variant, and the RIS system at the baseline settings.
 DEFAULT_CDF_SCENARIOS = ((0.1, 15.0, False), (0.33, -5.0, False),
                          (0.1, 15.0, True))
+# Each sweep of an ExperimentSpec and the SimConfig field it sweeps.
+SWEEPS = {"kappas": "kappa", "n_list": "n_ris", "heights": "h_uav"}
+# Fewest samples a 95%-likely rate is taken from.
+MIN_RATE_95_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -63,29 +67,36 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully resolved experiment: kind, sweeps and the base scenario."""
+    """A fully resolved experiment: kind, sweeps and the base scenario.
 
-    kind: str
-    base: SimConfig
+    ``n_list=None`` resolves to the kind's default.  Every swept value must
+    make a valid SimConfig in the field it sweeps; the rules of one study
+    are checked by its study function.
+    """
+
+    kind: str = "rate-region"
+    base: SimConfig = SimConfig()
     kappas: tuple = DEFAULT_KAPPAS
-    n_list: tuple = DEFAULT_N_LIST
+    n_list: tuple | None = None
     heights: tuple = DEFAULT_HEIGHTS
     scenarios: tuple = DEFAULT_CDF_SCENARIOS
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"experiment: unknown kind {self.kind!r}")
-        if not self.kappas or not all(0.0 <= k <= 1.0 for k in self.kappas):
-            raise ConfigError("kappas: need a non-empty list within [0, 1]")
-        if not self.n_list or not all(int(n) >= 0 for n in self.n_list):
-            raise ConfigError("n_list: need a non-empty list of counts >= 0")
-        if not self.heights or not all(h > 0 for h in self.heights):
-            raise ConfigError("heights: need a non-empty list of heights > 0")
-        if self.kind == "ris-gain" and any(int(n) < 1 for n in self.n_list):
-            raise ConfigError("n_list: ris-gain needs n_ris >= 1")
-        if self.kind == "ris-gain" and self.base.kappa == 0.0:
-            # no UAV power: both UAV SINRs are 0 and the gain is undefined
-            raise ConfigError("kappa: ris-gain needs kappa > 0")
+            raise ConfigError(
+                f"experiment: unknown kind {self.kind!r} "
+                f"(expected one of {', '.join(EXPERIMENT_KINDS)})")
+        if self.n_list is None:
+            object.__setattr__(self, "n_list", DEFAULT_GAIN_N_LIST
+                               if self.kind == "ris-gain" else DEFAULT_N_LIST)
+        for sweep, field in SWEEPS.items():
+            if not getattr(self, sweep):
+                raise ConfigError(f"{sweep}: need a non-empty list")
+            for value in getattr(self, sweep):
+                try:
+                    self.base.with_overrides(**{field: value})
+                except ConfigError as exc:
+                    raise ConfigError(f"{sweep}: {exc}") from None
         if not self.scenarios:
             raise ConfigError("scenarios: need at least one CDF scenario")
 
@@ -263,8 +274,9 @@ def likely_rate_95(samples) -> float:
     """95%-likely rate: 5th percentile by the nearest-rank rule."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    if n < 20:
-        raise ValueError(f"need at least 20 samples, got {n}")
+    if n < MIN_RATE_95_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_RATE_95_SAMPLES} samples, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
     return float(x[(n + 19) // 20 - 1])   # 1-based rank ceil(0.05 n)
@@ -279,6 +291,10 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
     ``n_list``, and a kappa-independent GUE-only baseline (no UAV, no RIS,
     full power shared among GUEs).
     """
+    n_trials = cfg.trials if trials is None else trials
+    if n_trials < MIN_RATE_95_SAMPLES:
+        raise ConfigError(f"trials: rate-region needs at least "
+                          f"{MIN_RATE_95_SAMPLES} per point, got {n_trials}")
     systems = [("no-ris", 0)] + [(f"ris-n{int(n)}", int(n)) for n in n_list]
     grid = [(name, n_ris, float(kappa)) for name, n_ris in systems
             for kappa in kappa_list]
@@ -344,6 +360,9 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
     if cfg.kappa == 0.0:
         # no UAV power: both UAV SINRs are 0 and the gain is undefined
         raise ConfigError("kappa: ris-gain needs kappa > 0")
+    if any(int(n) < 1 for n in n_list):
+        # no RIS: the paired gain is undefined
+        raise ConfigError("n_list: ris-gain needs n_ris >= 1")
     grid = [(int(n_ris), float(h_uav)) for h_uav in heights
             for n_ris in n_list]
     points = [cfg.with_overrides(n_ris=n_ris, h_uav=h_uav)

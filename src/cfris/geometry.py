@@ -64,6 +64,9 @@ class SimConfig:
         _check(self.n_gue >= 1, "n_gue", "must be >= 1")
         _check(self.n_ris >= 0, "n_ris", "must be >= 0")
         _check(self.area_side > 0, "area_side", "must be > 0")
+        # the RIS sits on the y = 0 edge of the area
+        _check(0.0 <= self.ris_x <= self.area_side, "ris_x",
+               "must be in [0, area_side]")
         _check(0.0 <= self.kappa <= 1.0, "kappa", "must be in [0, 1]")
         _check(self.p_d_w > 0, "p_d_w", "must be > 0")
         _check(self.carrier_freq_hz > 0, "carrier_freq_hz", "must be > 0")

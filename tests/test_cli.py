@@ -1,10 +1,13 @@
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from cfris import ConfigError, SimConfig
 from cfris.cli import load_config, main, run
-from cfris.experiments import ExperimentSpec
+from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_HEIGHTS,
+                               DEFAULT_KAPPAS, DEFAULT_N_LIST, ExperimentSpec)
 
 NO_FLAGS = {}
 
@@ -88,6 +91,99 @@ class TestLoadConfig:
         assert cfg.master_seed == 7 and cfg.trials == 10
 
 
+# Every SimConfig field as written in a config file, and the value it reads
+# as; an integral float is written bare so that its type must come from the
+# field.
+FILE_FIELDS = {
+    "m_ap": ("7", 7), "n_gue": ("3", 3), "n_ris": ("9", 9),
+    "master_seed": ("11", 11), "trials": ("33", 33),
+    "area_side": ("50", 50.0), "h_ap": ("14", 14.0), "h_ris": ("10.5", 10.5),
+    "h_gue": ("2", 2.0), "h_uav": ("80", 80.0), "ris_x": ("5", 5.0),
+    "carrier_freq_hz": ("2.4e9", 2.4e9), "bandwidth_hz": ("1e7", 1e7),
+    "noise_power_dbm": ("-70", -70.0), "p_d_w": ("2", 2.0),
+    "kappa": ("0.25", 0.25), "tilt_deg": ("-5", -5.0),
+    "rho_db": ("-20", -20.0), "alpha": ("3", 3.0),
+}
+
+# (config file text, flags, expected SimConfig fields, expected spec fields)
+LOAD_CASES = {
+    "seed beats file": ("master_seed = 5", flags(seed=9),
+                        {"master_seed": 9}, {}),
+    "trials beat file": ("trials = 5", flags(trials=9), {"trials": 9}, {}),
+    "uav-height beats file": ("h_uav = 50", flags(uav_height=70.0),
+                              {"h_uav": 70.0}, {}),
+    "tilt-deg beats file": ("tilt_deg = 5", flags(tilt_deg=-5.0),
+                            {"tilt_deg": -5.0}, {}),
+    "one kappa beats file": ("kappa = 0.2", flags(kappa="0.3"),
+                             {"kappa": 0.3}, {"kappas": DEFAULT_KAPPAS}),
+    "one n-ris beats file": ("n_ris = 30", flags(n_ris="15"),
+                             {"n_ris": 15}, {"n_list": DEFAULT_N_LIST}),
+    "kappa list sweeps": ("kappa = 0.2", flags(kappa="0.3, 0.4"),
+                          {"kappa": 0.3}, {"kappas": (0.3, 0.4)}),
+    "n-ris list sweeps": ("n_ris = 30", flags(n_ris="8,4"),
+                          {"n_ris": 8}, {"n_list": (8, 4)}),
+    "file sweeps": ("kappas = 0.2, 0.4\nn_list = 3, 5\nheights = 10, 20",
+                    NO_FLAGS, {}, {"kappas": (0.2, 0.4), "n_list": (3, 5),
+                                   "heights": (10.0, 20.0)}),
+    "flag lists beat file lists": (
+        "kappas = 0.2, 0.4\nn_list = 3, 5\nheights = 10, 20",
+        flags(kappa="0.5,0.6", n_ris="7,9", heights="30,40"),
+        {"kappa": 0.5, "n_ris": 7},
+        {"kappas": (0.5, 0.6), "n_list": (7, 9), "heights": (30.0, 40.0)}),
+    "no-ris beats n-ris": ("n_ris = 30", flags(n_ris="15", no_ris=True),
+                           {"n_ris": 0}, {}),
+    "ris-gain default n_list": ("", flags(experiment="ris-gain"), {},
+                                {"n_list": DEFAULT_GAIN_N_LIST}),
+    "experiment flag beats file": ("experiment = cdf",
+                                   flags(experiment="ris-gain"), {},
+                                   {"kind": "ris-gain"}),
+    "out, workers and config ignored": (
+        "", flags(out="elsewhere", workers=3, config="nope.cfg"), {},
+        {"kind": "rate-region", "kappas": DEFAULT_KAPPAS,
+         "n_list": DEFAULT_N_LIST, "heights": DEFAULT_HEIGHTS}),
+}
+
+
+class TestLoadConfigTable:
+    @pytest.mark.parametrize("key", sorted(FILE_FIELDS))
+    def test_every_field_read_from_file_with_its_type(self, tmp_path, key):
+        raw, value = FILE_FIELDS[key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {raw}\n")
+        cfg, _ = load_config(str(path), NO_FLAGS)
+        assert getattr(cfg, key) == value
+        assert type(getattr(cfg, key)) is type(value)
+
+    def test_table_covers_every_field(self):
+        assert set(FILE_FIELDS) == set(SimConfig.field_names())
+        types = [type(v) for _, v in FILE_FIELDS.values()]
+        assert (types.count(int), types.count(float)) == (5, 14)
+
+    @pytest.mark.parametrize("case", LOAD_CASES)
+    def test_resolution(self, tmp_path, case):
+        text, overrides, want_cfg, want_spec = LOAD_CASES[case]
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        cfg, spec = load_config(str(path), overrides)
+        assert cfg == SimConfig(**{**_file_fields(text), **want_cfg})
+        assert spec.base == cfg
+        for key, value in want_spec.items():
+            assert getattr(spec, key) == value
+        for key, kind in (("kappas", float), ("n_list", int),
+                          ("heights", float)):
+            assert all(type(v) is kind for v in getattr(spec, key))
+
+
+def _file_fields(text):
+    """The SimConfig fields a case's config file sets, typed by the table."""
+    out = {}
+    for line in text.splitlines():
+        key, _, raw = (s.strip() for s in line.partition("="))
+        if key in FILE_FIELDS:
+            out[key] = type(FILE_FIELDS[key][1])(raw)
+    return out
+
+
 def _tiny_spec(kind, **kw):
     base = SimConfig(m_ap=5, n_gue=2, n_ris=6, trials=25, master_seed=3)
     defaults = dict(kappas=(0.05, 0.2), n_list=(6,), heights=(100.0,),
@@ -126,6 +222,8 @@ class TestRun:
         assert manifest["config"]["m_ap"] == 5
         assert manifest["config"]["trials"] == 25
         assert manifest["duration_s"] >= 0.0
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
         # every SimConfig field is echoed
         assert set(SimConfig.field_names()) <= set(manifest["config"])
 
@@ -159,6 +257,15 @@ class TestMain:
         assert code == 1
         assert "kappa" in capsys.readouterr().err
         assert not (tmp_path / "ris_gain.csv").exists()
+
+    def test_rate_region_too_few_trials_exit_1(self, tmp_path, capsys):
+        # a 95%-likely rate needs 20 samples; this used to run every trial
+        # and end in a traceback
+        code = main(["--experiment", "rate-region", "--trials", "5",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "at least 20" in capsys.readouterr().err
+        assert not (tmp_path / "rate_region.csv").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_degenerate_geometry_exit_1(self, tmp_path, capsys, workers):

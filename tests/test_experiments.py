@@ -6,8 +6,10 @@ import pytest
 from cfris import (ConfigError, ExperimentSpec, SimConfig, likely_rate_95,
                    rate_cdf, rate_region, ris_gain_sweep, run_trial,
                    run_trials)
-from cfris.experiments import (_plan_chunks, run_experiment, run_sweep,
-                               scenario_label)
+from cfris import experiments
+from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_N_LIST,
+                               MIN_RATE_95_SAMPLES, _plan_chunks,
+                               run_experiment, run_sweep, scenario_label)
 
 SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, trials=40, master_seed=11)
 
@@ -238,6 +240,16 @@ class TestRateRegion:
         assert no_ris[0.4]["gue_rate_bps"] < no_ris[0.05]["gue_rate_bps"]
 
 
+    def test_too_few_trials_rejected_up_front(self, monkeypatch):
+        def no_trials(*args, **kw):
+            raise AssertionError("trials ran")
+        monkeypatch.setattr(experiments, "run_sweep", no_trials)
+        with pytest.raises(ConfigError, match="at least 20"):
+            rate_region(SMALL, n_list=(4,), trials=MIN_RATE_95_SAMPLES - 1)
+        with pytest.raises(ConfigError, match="at least 20"):
+            rate_region(SMALL.with_overrides(trials=5), n_list=(4,))
+
+
 class TestRateCdf:
     def test_empirical_cdf_properties(self):
         scenarios = ((0.1, 15.0, False), (0.1, 15.0, True))
@@ -275,6 +287,12 @@ class TestRisGainSweep:
                               trials=60)
         assert rows[1]["mean_gain_db"] > rows[0]["mean_gain_db"]
 
+    def test_zero_elements_rejected(self):
+        # no RIS: the paired gain is undefined (it used to average to NaN)
+        with pytest.raises(ConfigError, match="n_ris >= 1"):
+            ris_gain_sweep(SMALL, n_list=(0, 4), heights=(100.0,),
+                           trials=20)
+
     def test_kappa_zero_rejected(self):
         # no UAV power: the gain is undefined (it used to average to NaN)
         with pytest.raises(ConfigError):
@@ -299,6 +317,22 @@ class TestExperimentSpec:
         {"kind": "ris-gain", "base": SMALL.with_overrides(kappa=0.0)},
     ])
     def test_validation(self, kw):
+        # the spec checks kinds and swept values, the study function its
+        # own rules; either way nothing runs
         kw.setdefault("base", SMALL)
         with pytest.raises(ConfigError):
-            ExperimentSpec(**kw)
+            run_experiment(ExperimentSpec(**kw))
+
+    def test_sweep_height_zero_accepted_like_uav_height(self):
+        # heights follow h_uav >= 0; a sweep height of 0 used to be refused
+        spec = ExperimentSpec(kind="cdf", base=SMALL, heights=(0.0,))
+        assert spec.heights == (0.0,)
+
+    def test_default_n_list_follows_kind(self):
+        assert ExperimentSpec("ris-gain", SMALL).n_list == DEFAULT_GAIN_N_LIST
+        assert ExperimentSpec("rate-region", SMALL).n_list == DEFAULT_N_LIST
+        assert ExperimentSpec("cdf", SMALL).n_list == DEFAULT_N_LIST
+
+    def test_unknown_kind_lists_the_kinds(self):
+        with pytest.raises(ConfigError, match="expected one of rate-region"):
+            ExperimentSpec("bogus", SMALL)

@@ -31,6 +31,7 @@ class TestSimConfig:
         {"n_ris": -1}, {"p_d_w": 0.0}, {"area_side": -5.0},
         {"trials": 0}, {"h_ap": 0.0}, {"rho_db": float("nan")},
         {"tilt_deg": float("inf")}, {"area_side": float("inf")},
+        {"ris_x": 40.5},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
