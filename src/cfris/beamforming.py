@@ -26,7 +26,9 @@ class RisConfig:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex)
         object.__setattr__(self, "v", v)
-        if v.size and not np.allclose(np.abs(v), 1.0, atol=1e-9):
+        # the set np.allclose(|v|, 1, atol=1e-9) accepts, without its
+        # overhead; NaN and inf fail the comparison
+        if not np.all(np.abs(np.abs(v) - 1.0) <= 1e-9 + 1e-5):
             raise ConfigError("v: RIS coefficients must be unit modulus")
 
     @classmethod

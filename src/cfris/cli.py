@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (EXPERIMENT_KINDS, SWEEPS, ExperimentSpec,
-                          run_experiment)
+from .experiments import (DEFAULT_CDF_SCENARIOS, EXPERIMENT_KINDS, SWEEPS,
+                          ExperimentSpec, run_experiment)
 from .geometry import ConfigError, SimConfig, SimulationError
 
 
@@ -92,23 +92,27 @@ def load_config(path: str | None, overrides: dict
 
     ``overrides`` maps flag names to values (None = absent); flags that
     name no config key are ignored.  A flag on a swept field takes a comma
-    list: its first value sets the field, and two or more also define the
-    sweep.  ``no_ris`` forces n_ris to 0.
+    list.  A value given for a swept field, one or several, from a flag
+    or the file, is also its sweep, and its first value sets the field;
+    a sweep key given in the same source wins.  ``no_ris`` forces n_ris
+    to 0.
     """
     values = _read_config_file(path) if path else {}
     swept = {field: sweep for sweep, field in SWEEPS.items()}
+    flagged = {}
     for flag, raw in overrides.items():
         key = _RENAMES.get(flag, flag)
-        if raw is None or key not in _TYPES:
-            continue
-        sweep = swept.get(key)
-        if sweep is None:
-            values[key] = _parse(key, raw, flag)
-        else:
-            items = _parse(sweep, raw, flag)
-            values[key] = items[0]
-            if len(items) > 1:
-                values[sweep] = items
+        if raw is not None and key in _TYPES:
+            flagged[key] = _parse(swept.get(key, key), raw, flag)
+    for source in (values, flagged):
+        for field, sweep in swept.items():
+            if field in source:
+                items = source[field]
+                if not isinstance(items, tuple):
+                    items = (items,)
+                source[field] = items[0]
+                source.setdefault(sweep, items)
+    values.update(flagged)
     if overrides.get("no_ris"):
         values["n_ris"] = 0
 
@@ -170,7 +174,7 @@ def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
             "kappas": list(spec.kappas),
             "n_list": [int(n) for n in spec.n_list],
             "heights": list(spec.heights),
-            "cdf_scenarios": [list(s) for s in spec.scenarios],
+            "cdf_scenarios": [list(s) for s in DEFAULT_CDF_SCENARIOS],
         },
         "rows": len(rows),
         "duration_s": duration,

@@ -56,16 +56,6 @@ MIN_RATE_95_SAMPLES = 20
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one end-to-end Monte-Carlo trial."""
-
-    trial_index: int
-    rates_bps: np.ndarray          # (K,) per-user, index 0 = UAV
-    sinr: np.ndarray               # (K,) linear
-    ris_gain_db: float | None      # UAV with/without-RIS ratio; None if no RIS
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """A fully resolved experiment: kind, sweeps and the base scenario.
 
@@ -79,7 +69,6 @@ class ExperimentSpec:
     kappas: tuple = DEFAULT_KAPPAS
     n_list: tuple | None = None
     heights: tuple = DEFAULT_HEIGHTS
-    scenarios: tuple = DEFAULT_CDF_SCENARIOS
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -97,8 +86,6 @@ class ExperimentSpec:
                     self.base.with_overrides(**{field: value})
                 except ConfigError as exc:
                     raise ConfigError(f"{sweep}: {exc}") from None
-        if not self.scenarios:
-            raise ConfigError("scenarios: need at least one CDF scenario")
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -227,16 +214,14 @@ def _plan_chunks(trials: int, workers: int):
     return procs, chunks
 
 
-def run_sweep(points, trials: int | None = None,
-              workers: int = 1) -> list[PointResults]:
+def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
     """All trials of every sweep point, in one pass over the trial indices.
 
     ``points`` are SimConfigs sharing every field but n_ris, kappa,
     h_uav and tilt_deg; trial index t of every point is drawn from
-    ``trial_rng(master_seed, t)``.
+    ``trial_rng(master_seed, t)``, for t below their ``trials``.
     """
-    n = points[0].trials if trials is None else trials
-    procs, chunks = _plan_chunks(n, workers)
+    procs, chunks = _plan_chunks(points[0].trials, workers)
     tasks = [(points, chunk) for chunk in chunks]
     if procs == 1:
         parts = [_run_chunk(task) for task in tasks]
@@ -247,27 +232,24 @@ def run_sweep(points, trials: int | None = None,
             for per_chunk in zip(*parts)]
 
 
-def _trial_result(cfg: SimConfig, res: PointResults, row: int,
-                  trial_index: int) -> TrialResult:
-    gain = float(res.ris_gain_db[row]) if cfg.n_ris > 0 else None
-    return TrialResult(trial_index=trial_index, rates_bps=res.rates_bps[row],
-                       sinr=res.sinr[row], ris_gain_db=gain)
+def run_trial(cfg: SimConfig, trial_index: int) -> PointResults:
+    """One trial on its own substream, as a one-row PointResults.
 
-
-def run_trial(cfg: SimConfig, trial_index: int) -> TrialResult:
-    """Run one end-to-end trial on its own substream.
-
-    Raises SimulationError when the drawn geometry is degenerate.
+    Kept only because the benchmark tracer (perfbench/child.py) wraps it
+    by name; the studies call run_sweep.  Raises SimulationError when the
+    drawn geometry is degenerate.
     """
     (res,) = _run_chunk(([cfg], (trial_index,)))
-    return _trial_result(cfg, res, 0, trial_index)
+    return res
 
 
-def run_trials(cfg: SimConfig, trials: int | None = None,
-               workers: int = 1) -> list[TrialResult]:
-    """All trials of one sweep point, ordered by trial index."""
-    (res,) = run_sweep([cfg], trials, workers)
-    return [_trial_result(cfg, res, i, i) for i in range(len(res.sinr))]
+def run_trials(cfg: SimConfig, *, workers: int = 1) -> PointResults:
+    """All cfg.trials trials of one sweep point, row t = trial index t.
+
+    Kept only because the benchmark tracer (perfbench/child.py) wraps it
+    by name; it is ``run_sweep([cfg], workers=workers)[0]``.
+    """
+    return run_sweep([cfg], workers=workers)[0]
 
 
 def likely_rate_95(samples) -> float:
@@ -283,18 +265,16 @@ def likely_rate_95(samples) -> float:
 
 
 def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
-                n_list=DEFAULT_N_LIST, trials: int | None = None,
-                workers: int = 1):
+                n_list=DEFAULT_N_LIST, *, workers: int = 1):
     """95%-likely (GUE k=1, UAV) rate table over kappa and system variants.
 
     Systems: the plain network, one RIS system per element count in
     ``n_list``, and a kappa-independent GUE-only baseline (no UAV, no RIS,
     full power shared among GUEs).
     """
-    n_trials = cfg.trials if trials is None else trials
-    if n_trials < MIN_RATE_95_SAMPLES:
+    if cfg.trials < MIN_RATE_95_SAMPLES:
         raise ConfigError(f"trials: rate-region needs at least "
-                          f"{MIN_RATE_95_SAMPLES} per point, got {n_trials}")
+                          f"{MIN_RATE_95_SAMPLES} per point, got {cfg.trials}")
     systems = [("no-ris", 0)] + [(f"ris-n{int(n)}", int(n)) for n in n_list]
     grid = [(name, n_ris, float(kappa)) for name, n_ris in systems
             for kappa in kappa_list]
@@ -303,7 +283,7 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
     # GUE-only baseline: zero UAV power is equivalent to removing the UAV,
     # the full budget is then shared among the GUEs.
     points.append(cfg.with_overrides(n_ris=0, kappa=0.0))
-    *results, baseline = run_sweep(points, trials, workers)
+    *results, baseline = run_sweep(points, workers=workers)
     rows = [{
         "system": name,
         "kappa": kappa,
@@ -324,8 +304,8 @@ def scenario_label(kappa: float, tilt_deg: float, with_ris: bool) -> str:
     return f"k{kappa:g}_tilt{tilt_deg:g}_{ris}"
 
 
-def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS,
-             trials: int | None = None, workers: int = 1):
+def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS, *,
+             workers: int = 1):
     """Empirical per-user rate CDFs for each (kappa, tilt, RIS) scenario.
 
     Emits sorted (rate, probability) pairs for the UAV and for GUE k=1.
@@ -339,7 +319,7 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS,
                                  n_ris=cfg.n_ris if with_ris else 0)
               for kappa, tilt_deg, with_ris in scenarios]
     rows = []
-    for scenario, res in zip(scenarios, run_sweep(points, trials, workers)):
+    for scenario, res in zip(scenarios, run_sweep(points, workers=workers)):
         label = scenario_label(*scenario)
         for user, idx in (("uav", 0), ("gue1", 1)):
             rates = np.sort(res.rates_bps[:, idx])
@@ -351,8 +331,7 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS,
 
 
 def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
-                   heights=DEFAULT_HEIGHTS, trials: int | None = None,
-                   workers: int = 1):
+                   heights=DEFAULT_HEIGHTS, *, workers: int = 1):
     """Mean paired UAV RIS gain (dB) per (element count, UAV height).
 
     Rows are ordered heights-major to match the sweep definition.
@@ -367,7 +346,7 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
             for n_ris in n_list]
     points = [cfg.with_overrides(n_ris=n_ris, h_uav=h_uav)
               for n_ris, h_uav in grid]
-    results = run_sweep(points, trials, workers)
+    results = run_sweep(points, workers=workers)
     return [{
         "n_ris": n_ris,
         "h_uav_m": h_uav,
@@ -375,13 +354,12 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
     } for (n_ris, h_uav), res in zip(grid, results)]
 
 
-def run_experiment(spec: ExperimentSpec, trials: int | None = None,
-                   workers: int = 1):
+def run_experiment(spec: ExperimentSpec, *, workers: int = 1):
     """Dispatch a resolved experiment; returns its result rows."""
     if spec.kind == "rate-region":
         return rate_region(spec.base, spec.kappas, spec.n_list,
-                           trials, workers)
+                           workers=workers)
     if spec.kind == "cdf":
-        return rate_cdf(spec.base, spec.scenarios, trials, workers)
+        return rate_cdf(spec.base, workers=workers)
     return ris_gain_sweep(spec.base, spec.n_list, spec.heights,
-                          trials, workers)
+                          workers=workers)

@@ -180,3 +180,20 @@ class TestRisConfig:
 
     def test_empty_allowed(self):
         assert RisConfig.none().v.size == 0
+
+    def test_unit_modulus_tolerance(self):
+        # |v| may differ from 1 by at most 1e-9 + 1e-5
+        v = np.exp(1j * np.linspace(0.0, 6.0, 60))
+        RisConfig(v=v * (1.0 + 5e-6))
+        RisConfig(v=v * (1.0 - 5e-6))
+        for bad in (1.0 + 2e-5, 1.0 - 2e-5):
+            with pytest.raises(ConfigError):
+                RisConfig(v=v * bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(np.nan, 0.0)])
+    def test_non_finite_rejected(self, bad):
+        v = np.ones(8, dtype=complex)
+        v[3] = bad
+        with pytest.raises(ConfigError):
+            RisConfig(v=v)

@@ -77,10 +77,12 @@ class TestLoadConfig:
         assert spec.n_list == (20, 30)
         assert spec.heights == (16.0, 100.0)
 
-    def test_single_kappa_overrides_scalar_only(self):
+    def test_single_kappa_is_its_sweep(self):
+        # one value is a one-point sweep; it used to leave the default
+        # sweep in place, unused by rate-region
         cfg, spec = load_config(None, flags(kappa="0.33"))
         assert cfg.kappa == 0.33
-        assert spec.kappas == (0.02, 0.05, 0.1, 0.15)
+        assert spec.kappas == (0.33,)
 
     def test_no_ris_flag(self):
         cfg, _ = load_config(None, flags(no_ris=True))
@@ -115,9 +117,22 @@ LOAD_CASES = {
     "tilt-deg beats file": ("tilt_deg = 5", flags(tilt_deg=-5.0),
                             {"tilt_deg": -5.0}, {}),
     "one kappa beats file": ("kappa = 0.2", flags(kappa="0.3"),
-                             {"kappa": 0.3}, {"kappas": DEFAULT_KAPPAS}),
+                             {"kappa": 0.3}, {"kappas": (0.3,)}),
     "one n-ris beats file": ("n_ris = 30", flags(n_ris="15"),
-                             {"n_ris": 15}, {"n_list": DEFAULT_N_LIST}),
+                             {"n_ris": 15}, {"n_list": (15,)}),
+    "one uav-height sweeps": ("", flags(uav_height=50.0),
+                              {"h_uav": 50.0}, {"heights": (50.0,)}),
+    "file scalars are sweeps": ("kappa = 0.3\nn_ris = 8\nh_uav = 50",
+                                NO_FLAGS, {}, {"kappas": (0.3,),
+                                               "n_list": (8,),
+                                               "heights": (50.0,)}),
+    "file sweep beats file scalar": ("kappa = 0.3\nkappas = 0.2, 0.4",
+                                     NO_FLAGS, {}, {"kappas": (0.2, 0.4)}),
+    "flag scalar beats file sweep": ("heights = 10, 20",
+                                     flags(uav_height=50.0),
+                                     {"h_uav": 50.0}, {"heights": (50.0,)}),
+    "heights beat uav-height": ("", flags(uav_height=50.0, heights="30,40"),
+                                {"h_uav": 50.0}, {"heights": (30.0, 40.0)}),
     "kappa list sweeps": ("kappa = 0.2", flags(kappa="0.3, 0.4"),
                           {"kappa": 0.3}, {"kappas": (0.3, 0.4)}),
     "n-ris list sweeps": ("n_ris = 30", flags(n_ris="8,4"),
@@ -186,8 +201,7 @@ def _file_fields(text):
 
 def _tiny_spec(kind, **kw):
     base = SimConfig(m_ap=5, n_gue=2, n_ris=6, trials=25, master_seed=3)
-    defaults = dict(kappas=(0.05, 0.2), n_list=(6,), heights=(100.0,),
-                    scenarios=((0.1, 15.0, False), (0.1, 15.0, True)))
+    defaults = dict(kappas=(0.05, 0.2), n_list=(6,), heights=(100.0,))
     defaults.update(kw)
     return ExperimentSpec(kind=kind, base=base, **defaults)
 
@@ -289,6 +303,26 @@ class TestMain:
                      "--n-ris", "4", "--heights", "100",
                      "--out", str(blocker / "sub")])
         assert code == 2
+
+    def test_one_kappa_is_the_rate_region_sweep(self, tmp_path):
+        # the default kappas 0.02-0.15 used to be written instead
+        code = main(["--experiment", "rate-region", "--kappa", "0.3",
+                     "--trials", "20", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "rate_region.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["no-ris", "0.3"], ["ris-n15", "0.3"], ["ris-n30", "0.3"],
+            ["no-uav", ""]]
+
+    def test_one_point_ris_gain(self, tmp_path):
+        # the default 5 x 3 grid used to be written instead
+        code = main(["--experiment", "ris-gain", "--uav-height", "50",
+                     "--n-ris", "8", "--trials", "20",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "ris_gain.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("8,50,")
 
     def test_bad_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,8 +7,9 @@ from cfris import (ConfigError, ExperimentSpec, SimConfig, likely_rate_95,
                    rate_cdf, rate_region, ris_gain_sweep, run_trial,
                    run_trials)
 from cfris import experiments
-from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_N_LIST,
-                               MIN_RATE_95_SAMPLES, _plan_chunks,
+from cfris.experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
+                               DEFAULT_N_LIST, MIN_RATE_95_SAMPLES,
+                               _plan_chunks,
                                run_experiment, run_sweep, scenario_label)
 
 SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, trials=40, master_seed=11)
@@ -20,7 +21,7 @@ class TestRunTrial:
         b = run_trial(SMALL, 5)
         assert np.array_equal(a.rates_bps, b.rates_bps)
         assert np.array_equal(a.sinr, b.sinr)
-        assert a.ris_gain_db == b.ris_gain_db
+        assert np.array_equal(a.ris_gain_db, b.ris_gain_db)
 
     def test_distinct_trials_differ(self):
         a = run_trial(SMALL, 0)
@@ -29,17 +30,17 @@ class TestRunTrial:
 
     def test_no_ris_has_no_gain(self):
         r = run_trial(SMALL.with_overrides(n_ris=0), 3)
-        assert r.ris_gain_db is None
+        assert np.isnan(r.ris_gain_db[0])
         assert np.all(r.rates_bps >= 0.0)
 
     def test_kappa_zero_silences_uav(self):
-        r = run_trial(SMALL.with_overrides(kappa=0.0), 2)
-        assert r.rates_bps[0] == 0.0
-        assert np.all(r.rates_bps[1:] > 0.0)
+        rates = run_trial(SMALL.with_overrides(kappa=0.0), 2).rates_bps[0]
+        assert rates[0] == 0.0
+        assert np.all(rates[1:] > 0.0)
 
     def test_no_rejections_on_defaults(self):
         # a degenerate geometry raises SimulationError
-        run_trials(SMALL, trials=30)
+        run_trials(SMALL.with_overrides(trials=30))
 
     def test_finite_nonnegative_outputs(self):
         for t in range(10):
@@ -53,17 +54,17 @@ class TestRunTrial:
         cfg = SimConfig(m_ap=5, n_gue=2, n_ris=6, master_seed=3)
         r = run_trial(cfg, 4)
         np.testing.assert_allclose(
-            r.rates_bps,
+            r.rates_bps[0],
             [13023772.651474953, 11286413.664331613, 10134065.805796774],
             rtol=1e-12)
-        assert r.ris_gain_db == pytest.approx(0.40463537910730485,
-                                              rel=1e-12)
+        assert r.ris_gain_db[0] == pytest.approx(0.40463537910730485,
+                                                 rel=1e-12)
         r0 = run_trial(cfg.with_overrides(n_ris=0), 4)
         np.testing.assert_allclose(
-            r0.rates_bps,
+            r0.rates_bps[0],
             [12075961.266997825, 11688602.857884252, 6758115.929857713],
             rtol=1e-12)
-        assert r0.ris_gain_db is None
+        assert np.isnan(r0.ris_gain_db[0])
 
     def test_single_ap_within_coherent_bound(self):
         # GUE 4 has |G|^2 / gamma = 1.97 at the only AP: its SINR 0.786
@@ -78,8 +79,8 @@ class TestRunTrial:
 def _per_point(cfg, trials):
     """Reference: every trial of one sweep point run on its own."""
     results = [run_trial(cfg, i) for i in range(trials)]
-    return (np.array([r.rates_bps for r in results]),
-            [r.ris_gain_db for r in results])
+    return (np.array([r.rates_bps[0] for r in results]),
+            [r.ris_gain_db[0] for r in results])
 
 
 class TestSweepEquivalence:
@@ -88,10 +89,10 @@ class TestSweepEquivalence:
     TRIALS = 25
 
     def test_rate_region_matches_per_point_trials(self):
-        cfg = SMALL.with_overrides(tilt_deg=5.0, h_uav=60.0)
+        cfg = SMALL.with_overrides(tilt_deg=5.0, h_uav=60.0,
+                                   trials=self.TRIALS)
         kappas, n_list = (0.05, 0.3), (3, 8)
-        rows = rate_region(cfg, kappa_list=kappas, n_list=n_list,
-                           trials=self.TRIALS)
+        rows = rate_region(cfg, kappa_list=kappas, n_list=n_list)
         expected = []
         for name, n_ris in (("no-ris", 0), ("ris-n3", 3), ("ris-n8", 8)):
             for kappa in kappas:
@@ -110,10 +111,10 @@ class TestSweepEquivalence:
         assert rows == expected
 
     def test_rate_cdf_matches_per_point_trials(self):
-        cfg = SMALL.with_overrides(n_ris=6)
+        cfg = SMALL.with_overrides(n_ris=6, trials=self.TRIALS)
         scenarios = ((0.1, 15.0, False), (0.33, -5.0, False),
                      (0.1, 15.0, True), (0.2, -5.0, True))
-        rows = rate_cdf(cfg, scenarios=scenarios, trials=self.TRIALS)
+        rows = rate_cdf(cfg, scenarios=scenarios)
         for kappa, tilt, with_ris in scenarios:
             rates, _ = _per_point(cfg.with_overrides(
                 kappa=kappa, tilt_deg=tilt, n_ris=6 if with_ris else 0),
@@ -126,9 +127,9 @@ class TestSweepEquivalence:
 
     def test_ris_gain_matches_per_point_trials(self):
         n_list, heights = (2, 5, 8), (30.0, 120.0)
-        cfg = SMALL.with_overrides(kappa=0.2, tilt_deg=-5.0)
-        rows = ris_gain_sweep(cfg, n_list=n_list, heights=heights,
-                              trials=self.TRIALS)
+        cfg = SMALL.with_overrides(kappa=0.2, tilt_deg=-5.0,
+                                   trials=self.TRIALS)
+        rows = ris_gain_sweep(cfg, n_list=n_list, heights=heights)
         expected = []
         for h_uav in heights:
             for n_ris in n_list:
@@ -141,21 +142,21 @@ class TestSweepEquivalence:
 
     def test_sweep_arrays_match_run_trial(self):
         # mixed groups: N = 0 and RIS prefixes, kappa = 0 (NaN gain)
-        points = [SMALL.with_overrides(n_ris=n, kappa=k, h_uav=h)
+        points = [SMALL.with_overrides(n_ris=n, kappa=k, h_uav=h,
+                                       trials=self.TRIALS)
                   for h in (40.0, 200.0) for n in (0, 3, 8)
                   for k in (0.0, 0.1, 0.6)]
-        for cfg, res in zip(points, run_sweep(points, trials=self.TRIALS),
-                            strict=True):
+        for cfg, res in zip(points, run_sweep(points), strict=True):
             ref = [run_trial(cfg, i) for i in range(self.TRIALS)]
-            assert np.array_equal(res.rates_bps, [r.rates_bps for r in ref])
-            assert np.array_equal(res.sinr, [r.sinr for r in ref])
-            gains = [np.nan if r.ris_gain_db is None else r.ris_gain_db
-                     for r in ref]
+            assert np.array_equal(res.rates_bps,
+                                  [r.rates_bps[0] for r in ref])
+            assert np.array_equal(res.sinr, [r.sinr[0] for r in ref])
+            gains = [r.ris_gain_db[0] for r in ref]
             assert np.array_equal(res.ris_gain_db, gains, equal_nan=True)
 
     def test_ris_gain_pinned_values(self):
-        rows = ris_gain_sweep(SMALL, n_list=(4, 8), heights=(50.0, 150.0),
-                              trials=self.TRIALS)
+        rows = ris_gain_sweep(SMALL.with_overrides(trials=self.TRIALS),
+                              n_list=(4, 8), heights=(50.0, 150.0))
         pinned = [0.10828458476406683, 0.18638358745870007,
                   0.14017009296077262, 0.21622626706760298]
         for row, value in zip(rows, pinned, strict=True):
@@ -164,21 +165,27 @@ class TestSweepEquivalence:
     def test_multi_point_sweep_same_at_two_workers(self):
         scenarios = ((0.1, 15.0, False), (0.33, -5.0, False),
                      (0.1, 15.0, True))
-        serial = rate_cdf(SMALL, scenarios=scenarios, trials=30, workers=1)
-        parallel = rate_cdf(SMALL, scenarios=scenarios, trials=30,
-                            workers=2)
+        cfg = SMALL.with_overrides(trials=30)
+        serial = rate_cdf(cfg, scenarios=scenarios, workers=1)
+        parallel = rate_cdf(cfg, scenarios=scenarios, workers=2)
         assert serial == parallel
 
 
 class TestWorkers:
     def test_worker_count_does_not_change_results(self):
-        serial = run_trials(SMALL, trials=24, workers=1)
-        parallel = run_trials(SMALL, trials=24, workers=4)
-        assert len(serial) == len(parallel) == 24
-        for a, b in zip(serial, parallel):
-            assert a.trial_index == b.trial_index
-            assert np.array_equal(a.rates_bps, b.rates_bps)
-            assert np.array_equal(a.sinr, b.sinr)
+        cfg = SMALL.with_overrides(trials=24)
+        serial = run_trials(cfg, workers=1)
+        parallel = run_trials(cfg, workers=4)
+        assert serial.rates_bps.shape[0] == parallel.rates_bps.shape[0] == 24
+        assert np.array_equal(serial.rates_bps, parallel.rates_bps)
+        assert np.array_equal(serial.sinr, parallel.sinr)
+
+    def test_worker_count_is_keyword_only(self):
+        # a positional count must not be taken for a worker count
+        with pytest.raises(TypeError):
+            run_sweep([SMALL], 2)
+        with pytest.raises(TypeError):
+            rate_cdf(SMALL, DEFAULT_CDF_SCENARIOS, 2)
 
     def test_pool_never_exceeds_cpus_or_chunks(self):
         # computed only: no pool is started
@@ -223,8 +230,8 @@ class TestLikelyRate95:
 
 class TestRateRegion:
     def test_table_shape_and_baseline(self):
-        rows = rate_region(SMALL, kappa_list=(0.05, 0.2),
-                           n_list=(4,), trials=25)
+        rows = rate_region(SMALL.with_overrides(trials=25),
+                           kappa_list=(0.05, 0.2), n_list=(4,))
         systems = [r["system"] for r in rows]
         assert systems == ["no-ris", "no-ris", "ris-n4", "ris-n4", "no-uav"]
         baseline = rows[-1]
@@ -233,8 +240,8 @@ class TestRateRegion:
         assert baseline["gue_rate_bps"] > 0.0
 
     def test_kappa_tradeoff_direction(self):
-        rows = rate_region(SMALL, kappa_list=(0.05, 0.4), n_list=(4,),
-                           trials=40)
+        rows = rate_region(SMALL.with_overrides(trials=40),
+                           kappa_list=(0.05, 0.4), n_list=(4,))
         no_ris = {r["kappa"]: r for r in rows if r["system"] == "no-ris"}
         assert no_ris[0.4]["uav_rate_bps"] > no_ris[0.05]["uav_rate_bps"]
         assert no_ris[0.4]["gue_rate_bps"] < no_ris[0.05]["gue_rate_bps"]
@@ -245,7 +252,8 @@ class TestRateRegion:
             raise AssertionError("trials ran")
         monkeypatch.setattr(experiments, "run_sweep", no_trials)
         with pytest.raises(ConfigError, match="at least 20"):
-            rate_region(SMALL, n_list=(4,), trials=MIN_RATE_95_SAMPLES - 1)
+            rate_region(SMALL.with_overrides(trials=MIN_RATE_95_SAMPLES - 1),
+                        n_list=(4,))
         with pytest.raises(ConfigError, match="at least 20"):
             rate_region(SMALL.with_overrides(trials=5), n_list=(4,))
 
@@ -253,7 +261,7 @@ class TestRateRegion:
 class TestRateCdf:
     def test_empirical_cdf_properties(self):
         scenarios = ((0.1, 15.0, False), (0.1, 15.0, True))
-        rows = rate_cdf(SMALL, scenarios=scenarios, trials=30)
+        rows = rate_cdf(SMALL.with_overrides(trials=30), scenarios=scenarios)
         labels = {r["scenario"] for r in rows}
         assert labels == {scenario_label(0.1, 15.0, False),
                           scenario_label(0.1, 15.0, True)}
@@ -269,35 +277,35 @@ class TestRateCdf:
                 assert np.all(np.diff(rates) >= 0)
 
     def test_with_ris_requires_elements(self):
-        cfg = SMALL.with_overrides(n_ris=0)
+        cfg = SMALL.with_overrides(n_ris=0, trials=25)
         with pytest.raises(ConfigError):
-            rate_cdf(cfg, scenarios=((0.1, 15.0, True),), trials=25)
+            rate_cdf(cfg, scenarios=((0.1, 15.0, True),))
 
 
 class TestRisGainSweep:
     def test_table_and_finiteness(self):
-        rows = ris_gain_sweep(SMALL, n_list=(4, 8),
-                              heights=(50.0, 150.0), trials=25)
+        rows = ris_gain_sweep(SMALL.with_overrides(trials=25), n_list=(4, 8),
+                              heights=(50.0, 150.0))
         assert [(r["n_ris"], r["h_uav_m"]) for r in rows] == \
             [(4, 50.0), (8, 50.0), (4, 150.0), (8, 150.0)]
         assert all(np.isfinite(r["mean_gain_db"]) for r in rows)
 
     def test_gain_grows_with_elements(self):
-        rows = ris_gain_sweep(SMALL, n_list=(2, 32), heights=(150.0,),
-                              trials=60)
+        rows = ris_gain_sweep(SMALL.with_overrides(trials=60),
+                              n_list=(2, 32), heights=(150.0,))
         assert rows[1]["mean_gain_db"] > rows[0]["mean_gain_db"]
 
     def test_zero_elements_rejected(self):
         # no RIS: the paired gain is undefined (it used to average to NaN)
         with pytest.raises(ConfigError, match="n_ris >= 1"):
-            ris_gain_sweep(SMALL, n_list=(0, 4), heights=(100.0,),
-                           trials=20)
+            ris_gain_sweep(SMALL.with_overrides(trials=20), n_list=(0, 4),
+                           heights=(100.0,))
 
     def test_kappa_zero_rejected(self):
         # no UAV power: the gain is undefined (it used to average to NaN)
         with pytest.raises(ConfigError):
-            ris_gain_sweep(SMALL.with_overrides(kappa=0.0), n_list=(4,),
-                           heights=(100.0,), trials=20)
+            ris_gain_sweep(SMALL.with_overrides(kappa=0.0, trials=20),
+                           n_list=(4,), heights=(100.0,))
 
 
 class TestExperimentSpec:

@@ -7,8 +7,8 @@ from cfris import (SimConfig, likely_rate_95, rate_cdf, rate_region,
 from cfris.experiments import run_sweep, scenario_label
 from reference_pipeline import reference_trial
 
-SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, master_seed=11)
 TRIALS = 20
+SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, master_seed=11, trials=TRIALS)
 RTOL = 1e-12
 
 
@@ -26,8 +26,7 @@ def test_sweep_matches_reference_per_trial():
                                    tilt_deg=tilt)
               for h in (40.0, 300.0) for tilt in (15.0, -5.0)
               for n in (0, 3, 8) for kappa in (0.02, 0.3)]
-    for cfg, res in zip(points, run_sweep(points, trials=TRIALS),
-                        strict=True):
+    for cfg, res in zip(points, run_sweep(points), strict=True):
         rates, sinr, gains = _reference(cfg)
         assert np.all(np.isfinite(res.rates_bps))
         assert np.all(np.isfinite(res.sinr))
@@ -44,7 +43,7 @@ def test_sweep_matches_reference_per_trial():
 def test_rate_region_matches_reference():
     cfg = SMALL.with_overrides(h_uav=300.0, tilt_deg=-5.0)
     kappas = (0.02, 0.3)
-    rows = rate_region(cfg, kappa_list=kappas, n_list=(3, 8), trials=TRIALS)
+    rows = rate_region(cfg, kappa_list=kappas, n_list=(3, 8))
     expected = []
     for name, n_ris in (("no-ris", 0), ("ris-n3", 3), ("ris-n8", 8)):
         for kappa in kappas:
@@ -64,7 +63,7 @@ def test_rate_region_matches_reference():
 def test_rate_cdf_matches_reference():
     cfg = SMALL.with_overrides(h_uav=40.0)
     scenarios = ((0.02, 15.0, False), (0.3, -5.0, True), (0.3, 15.0, True))
-    rows = rate_cdf(cfg, scenarios=scenarios, trials=TRIALS)
+    rows = rate_cdf(cfg, scenarios=scenarios)
     for kappa, tilt, with_ris in scenarios:
         rates, _, _ = _reference(cfg.with_overrides(
             kappa=kappa, tilt_deg=tilt, n_ris=cfg.n_ris if with_ris else 0))
@@ -78,8 +77,7 @@ def test_rate_cdf_matches_reference():
 
 def test_ris_gain_matches_reference():
     cfg = SMALL.with_overrides(kappa=0.3, tilt_deg=-5.0)
-    rows = ris_gain_sweep(cfg, n_list=(3, 8), heights=(40.0, 300.0),
-                          trials=TRIALS)
+    rows = ris_gain_sweep(cfg, n_list=(3, 8), heights=(40.0, 300.0))
     expected = [(n, h) for h in (40.0, 300.0) for n in (3, 8)]
     assert [(r["n_ris"], r["h_uav_m"]) for r in rows] == expected
     for row, (n_ris, h_uav) in zip(rows, expected):
