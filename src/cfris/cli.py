@@ -16,35 +16,23 @@ import json
 import platform
 import sys
 import time
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .experiments import (DEFAULT_CDF_SCENARIOS, EXPERIMENT_KINDS, SWEEPS,
-                          ExperimentSpec, run_experiment)
-from .geometry import ConfigError, SimConfig, SimulationError
+from .experiments import STUDIES, SWEEPS, ExperimentSpec, run_experiment
+from .geometry import FIELD_TYPES, ConfigError, SimConfig, SimulationError
 
-
-def _field_type(hint) -> type:
-    """int or float, unwrapping an optional hint such as ``float | None``."""
-    return next(t for t in (hint, *typing.get_args(hint))
-                if t in (int, float))
-
-
-_FIELD_TYPES = {name: _field_type(hint)
-                for name, hint in typing.get_type_hints(SimConfig).items()}
 # Every file key and its type; a sweep holds values of the field it sweeps.
-_TYPES = {**_FIELD_TYPES, "experiment": str,
-          **{sweep: _FIELD_TYPES[field] for sweep, field in SWEEPS.items()}}
+_TYPES = {**FIELD_TYPES, "experiment": str,
+          **{sweep: FIELD_TYPES[field] for sweep, field in SWEEPS.items()}}
 # Spec keys of the file and flags, and the ExperimentSpec field each sets.
 _SPEC_KEYS = {"experiment": "kind", **{sweep: sweep for sweep in SWEEPS}}
 # Flags named otherwise than the field they set.
 _RENAMES = {"seed": "master_seed", "uav_height": "h_uav"}
-
-CSV_NAMES = {"rate-region": "rate_region.csv", "cdf": "rate_cdf.csv",
-             "ris-gain": "ris_gain.csv"}
+# CSV columns named otherwise than their row key, besides *_bps -> *_mbps.
+_COLUMNS = {"h_uav_m": "uav_height_m"}
 
 
 def _parse(key, raw, where):
@@ -130,34 +118,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_rows(kind: str, rows) -> list[str]:
-    if kind == "rate-region":
-        lines = ["system,kappa,gue_rate_mbps,uav_rate_mbps"]
-        lines += [",".join([r["system"], _fmt(r["kappa"]),
-                            _fmt(r["gue_rate_bps"] / 1e6),
-                            _fmt(r["uav_rate_bps"] / 1e6)]) for r in rows]
-    elif kind == "cdf":
-        lines = ["scenario,user,rate_mbps,prob"]
-        lines += [",".join([r["scenario"], r["user"],
-                            _fmt(r["rate_bps"] / 1e6),
-                            _fmt(r["prob"])]) for r in rows]
-    else:
-        lines = ["n_ris,uav_height_m,mean_gain_db"]
-        lines += [",".join([_fmt(r["n_ris"]), _fmt(r["h_uav_m"]),
-                            _fmt(r["mean_gain_db"])]) for r in rows]
-    return lines
+def _csv_rows(rows) -> list[str]:
+    """A header of the first row's keys, a ``*_bps`` value in Mbps."""
+    keys = list(rows[0])
+    bps = {key for key in keys if key.endswith("_bps")}
+    header = [key[:-4] + "_mbps" if key in bps else _COLUMNS.get(key, key)
+              for key in keys]
+    return [",".join(header)] + [
+        ",".join(_fmt(r[key] / 1e6 if key in bps else r[key]) for key in keys)
+        for r in rows]
 
 
 def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
-    """Execute an experiment and write <kind>.csv plus manifest.json."""
+    """Execute an experiment and write its CSV plus manifest.json."""
     started = time.monotonic()
     rows = run_experiment(spec, workers=workers)
     duration = time.monotonic() - started
 
+    study = STUDIES[spec.kind]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / CSV_NAMES[spec.kind]
-    csv_path.write_text("\n".join(_csv_rows(spec.kind, rows)) + "\n",
+    csv_path = out / study.csv_name
+    csv_path.write_text("\n".join(_csv_rows(rows)) + "\n",
                         encoding="utf-8", newline="\n")
 
     manifest = {
@@ -170,19 +152,15 @@ def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
         "trials_per_point": spec.base.trials,
         "workers": workers,
         "config": dataclasses.asdict(spec.base),
-        "sweeps": {
-            "kappas": list(spec.kappas),
-            "n_list": [int(n) for n in spec.n_list],
-            "heights": list(spec.heights),
-            "cdf_scenarios": [list(s) for s in DEFAULT_CDF_SCENARIOS],
-        },
+        "sweeps": {name: getattr(spec, name) for name in study.sweeps},
         "rows": len(rows),
         "duration_s": duration,
         "results_csv": csv_path.name,
     }
+    # a tuple is written as a list, a numpy scalar as its Python number
     (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+        json.dumps(manifest, indent=2, sort_keys=True,
+                   default=np.generic.item) + "\n", encoding="utf-8")
     return csv_path
 
 
@@ -193,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "cell-free MIMO network serving ground users and a UAV.")
     parser.add_argument("--config", metavar="PATH",
                         help="key = value config file")
-    parser.add_argument("--experiment", choices=EXPERIMENT_KINDS,
+    parser.add_argument("--experiment", choices=STUDIES,
                         help="study to run (default rate-region)")
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
     parser.add_argument("--trials", type=int,
@@ -213,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tilt-deg", dest="tilt_deg", type=float,
                         help="AP antenna down-tilt in degrees")
     parser.add_argument("--no-ris", dest="no_ris", action="store_true",
-                        help="force the RIS off (n_ris = 0)")
+                        help="set the base n_ris to 0; rate-region and "
+                             "ris-gain still sweep n_list")
     return parser
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
                       draw_channels, large_scale)
 from .geometry import ConfigError, SimConfig, place_nodes
 from .link import rate_bps, ris_gain_db, sinr_all
-
-EXPERIMENT_KINDS = ("rate-region", "cdf", "ris-gain")
 
 DEFAULT_KAPPAS = (0.02, 0.05, 0.1, 0.15)
 DEFAULT_N_LIST = (15, 30)
@@ -59,9 +57,9 @@ MIN_RATE_95_SAMPLES = 20
 class ExperimentSpec:
     """A fully resolved experiment: kind, sweeps and the base scenario.
 
-    ``n_list=None`` resolves to the kind's default.  Every swept value must
-    make a valid SimConfig in the field it sweeps; the rules of one study
-    are checked by its study function.
+    ``kind`` is a key of STUDIES; ``n_list=None`` resolves to its default.
+    Every swept value must make a valid SimConfig in the field it sweeps;
+    the rules of one study are checked by its study function.
     """
 
     kind: str = "rate-region"
@@ -69,15 +67,16 @@ class ExperimentSpec:
     kappas: tuple = DEFAULT_KAPPAS
     n_list: tuple | None = None
     heights: tuple = DEFAULT_HEIGHTS
+    # not a field: no flag or file key sets the cdf scenarios
+    cdf_scenarios = DEFAULT_CDF_SCENARIOS
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in STUDIES:
             raise ConfigError(
                 f"experiment: unknown kind {self.kind!r} "
-                f"(expected one of {', '.join(EXPERIMENT_KINDS)})")
+                f"(expected one of {', '.join(STUDIES)})")
         if self.n_list is None:
-            object.__setattr__(self, "n_list", DEFAULT_GAIN_N_LIST
-                               if self.kind == "ris-gain" else DEFAULT_N_LIST)
+            object.__setattr__(self, "n_list", STUDIES[self.kind].n_list)
         for sweep, field in SWEEPS.items():
             if not getattr(self, sweep):
                 raise ConfigError(f"{sweep}: need a non-empty list")
@@ -219,9 +218,13 @@ def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
 
     ``points`` are SimConfigs sharing every field but n_ris, kappa,
     h_uav and tilt_deg; trial index t of every point is drawn from
-    ``trial_rng(master_seed, t)``, for t below their ``trials``.
+    ``trial_rng(master_seed, t)``, for t below their common ``trials``.
     """
-    procs, chunks = _plan_chunks(points[0].trials, workers)
+    counts = {p.trials for p in points}
+    if len(counts) != 1:
+        raise ConfigError(f"trials: need one or more sweep points sharing "
+                          f"one trial count, got {sorted(counts)}")
+    procs, chunks = _plan_chunks(counts.pop(), workers)
     tasks = [(points, chunk) for chunk in chunks]
     if procs == 1:
         parts = [_run_chunk(task) for task in tasks]
@@ -354,12 +357,25 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
     } for (n_ris, h_uav), res in zip(grid, results)]
 
 
+class Study(NamedTuple):
+    """One experiment kind."""
+
+    run: Callable     # study(base, *sweeps, workers=...) -> rows
+    sweeps: tuple     # the ExperimentSpec attributes it takes, in order
+    csv_name: str
+    n_list: tuple = DEFAULT_N_LIST   # ExperimentSpec's default n_list
+
+
+STUDIES = {
+    "rate-region": Study(rate_region, ("kappas", "n_list"), "rate_region.csv"),
+    "cdf": Study(rate_cdf, ("cdf_scenarios",), "rate_cdf.csv"),
+    "ris-gain": Study(ris_gain_sweep, ("n_list", "heights"), "ris_gain.csv",
+                      DEFAULT_GAIN_N_LIST),
+}
+
+
 def run_experiment(spec: ExperimentSpec, *, workers: int = 1):
-    """Dispatch a resolved experiment; returns its result rows."""
-    if spec.kind == "rate-region":
-        return rate_region(spec.base, spec.kappas, spec.n_list,
-                           workers=workers)
-    if spec.kind == "cdf":
-        return rate_cdf(spec.base, workers=workers)
-    return ris_gain_sweep(spec.base, spec.n_list, spec.heights,
-                          workers=workers)
+    """Run the study of a resolved experiment; returns its result rows."""
+    study = STUDIES[spec.kind]
+    return study.run(spec.base, *(getattr(spec, s) for s in study.sweeps),
+                     workers=workers)

@@ -8,7 +8,9 @@ the UAV are redrawn uniformly for every Monte-Carlo trial; the RIS is fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+import typing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,29 +56,28 @@ class SimConfig:
     trials: int = 2000
 
     def __post_init__(self):
-        if self.ris_x is None:
-            object.__setattr__(self, "ris_x", self.area_side / 2.0)
-        for key in self.field_names():
+        for key, kind in FIELD_TYPES.items():
+            if key == "ris_x" and self.ris_x is None:
+                # D/2; area_side, an earlier field, is checked by now
+                object.__setattr__(self, "ris_x", self.area_side / 2.0)
             value = getattr(self, key)
-            _check(not isinstance(value, float) or math.isfinite(value),
-                   key, "must be finite")
-        _check(self.m_ap >= 1, "m_ap", "must be >= 1")
-        _check(self.n_gue >= 1, "n_gue", "must be >= 1")
-        _check(self.n_ris >= 0, "n_ris", "must be >= 0")
-        _check(self.area_side > 0, "area_side", "must be > 0")
+            abc, noun = _NUMBERS[kind]
+            # a numpy integer is an Integral, and so is a bool
+            _check(isinstance(value, abc) and not isinstance(value, bool)
+                   and (kind is int or math.isfinite(value)), key,
+                   f"must be {noun}")
+        for key in ("m_ap", "n_gue", "trials"):
+            _check(getattr(self, key) >= 1, key, "must be >= 1")
+        # h_ap enters the Hata constant through log10(h_ap)
+        for key in ("area_side", "h_ap", "carrier_freq_hz", "bandwidth_hz",
+                    "p_d_w", "alpha"):
+            _check(getattr(self, key) > 0, key, "must be > 0")
+        for key in ("n_ris", "h_ris", "h_gue", "h_uav"):
+            _check(getattr(self, key) >= 0, key, "must be >= 0")
         # the RIS sits on the y = 0 edge of the area
         _check(0.0 <= self.ris_x <= self.area_side, "ris_x",
                "must be in [0, area_side]")
         _check(0.0 <= self.kappa <= 1.0, "kappa", "must be in [0, 1]")
-        _check(self.p_d_w > 0, "p_d_w", "must be > 0")
-        _check(self.carrier_freq_hz > 0, "carrier_freq_hz", "must be > 0")
-        _check(self.bandwidth_hz > 0, "bandwidth_hz", "must be > 0")
-        _check(self.alpha > 0, "alpha", "must be > 0")
-        _check(self.trials >= 1, "trials", "must be >= 1")
-        # h_ap enters the Hata constant through log10(h_ap)
-        _check(self.h_ap > 0, "h_ap", "must be > 0")
-        for key in ("h_ris", "h_gue", "h_uav"):
-            _check(getattr(self, key) >= 0, key, "must be >= 0")
         _check(0 <= self.master_seed < 2**64, "master_seed",
                "must fit in 64 bits")
 
@@ -96,9 +97,12 @@ class SimConfig:
     def with_overrides(self, **kw) -> "SimConfig":
         return replace(self, **kw)
 
-    @classmethod
-    def field_names(cls):
-        return [f.name for f in fields(cls)]
+
+# The type of every SimConfig field: int, or float (ris_x: float | None).
+FIELD_TYPES = {name: int if hint is int else float
+               for name, hint in typing.get_type_hints(SimConfig).items()}
+_NUMBERS = {int: (numbers.Integral, "an integer"),
+            float: (numbers.Real, "a finite real number")}
 
 
 def _check(ok: bool, key: str, msg: str):

@@ -8,6 +8,7 @@ from cfris import ConfigError, SimConfig
 from cfris.cli import load_config, main, run
 from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_HEIGHTS,
                                DEFAULT_KAPPAS, DEFAULT_N_LIST, ExperimentSpec)
+from cfris.geometry import FIELD_TYPES
 
 NO_FLAGS = {}
 
@@ -170,7 +171,7 @@ class TestLoadConfigTable:
         assert type(getattr(cfg, key)) is type(value)
 
     def test_table_covers_every_field(self):
-        assert set(FILE_FIELDS) == set(SimConfig.field_names())
+        assert set(FILE_FIELDS) == set(FIELD_TYPES)
         types = [type(v) for _, v in FILE_FIELDS.values()]
         assert (types.count(int), types.count(float)) == (5, 14)
 
@@ -207,6 +208,41 @@ def _tiny_spec(kind, **kw):
 
 
 class TestRun:
+    @pytest.mark.parametrize("kind, name, header", [
+        ("rate-region", "rate_region.csv",
+         "system,kappa,gue_rate_mbps,uav_rate_mbps"),
+        ("cdf", "rate_cdf.csv", "scenario,user,rate_mbps,prob"),
+        ("ris-gain", "ris_gain.csv", "n_ris,uav_height_m,mean_gain_db"),
+    ])
+    def test_csv_name_and_header(self, tmp_path, kind, name, header):
+        csv_path = run(_tiny_spec(kind), tmp_path)
+        assert csv_path == tmp_path / name
+        assert csv_path.read_text().splitlines()[0] == header
+
+    @pytest.mark.parametrize("kind, sweeps", [
+        ("rate-region", {"kappas": [0.05, 0.2], "n_list": [6]}),
+        ("cdf", {"cdf_scenarios": [[0.1, 15.0, False], [0.33, -5.0, False],
+                                   [0.1, 15.0, True]]}),
+        ("ris-gain", {"n_list": [6], "heights": [100.0]}),
+    ])
+    def test_manifest_echoes_the_sweeps_run(self, tmp_path, kind, sweeps):
+        # every sweep used to be echoed, including those the study ignores
+        run(_tiny_spec(kind), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["sweeps"] == sweeps
+
+    def test_manifest_writes_numpy_numbers(self, tmp_path):
+        # SimConfig and the sweeps accept numpy numbers; json.dumps used to
+        # raise TypeError on them after the CSV was written
+        base = SimConfig(m_ap=np.int64(5), n_gue=2, kappa=np.float32(0.25),
+                         trials=25)
+        run(ExperimentSpec("ris-gain", base, n_list=(np.int64(6),),
+                           heights=(100.0,)), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["m_ap"] == 5
+        assert manifest["config"]["kappa"] == 0.25
+        assert manifest["sweeps"]["n_list"] == [6]
+
     def test_rate_region_csv_schema(self, tmp_path):
         csv_path = run(_tiny_spec("rate-region"), tmp_path)
         lines = csv_path.read_text().splitlines()
@@ -239,7 +275,7 @@ class TestRun:
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
         # every SimConfig field is echoed
-        assert set(SimConfig.field_names()) <= set(manifest["config"])
+        assert set(FIELD_TYPES) <= set(manifest["config"])
 
 
 class TestMain:

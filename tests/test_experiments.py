@@ -187,6 +187,17 @@ class TestWorkers:
         with pytest.raises(TypeError):
             rate_cdf(SMALL, DEFAULT_CDF_SCENARIOS, 2)
 
+    def test_mixed_trial_counts_rejected(self):
+        # every point used to run at the first point's count
+        with pytest.raises(ConfigError, match="trial count"):
+            run_sweep([SMALL.with_overrides(trials=10),
+                       SMALL.with_overrides(trials=30, kappa=0.2)])
+
+    def test_empty_sweep_rejected(self):
+        # this used to end in an IndexError
+        with pytest.raises(ConfigError, match="trial count"):
+            run_sweep([])
+
     def test_pool_never_exceeds_cpus_or_chunks(self):
         # computed only: no pool is started
         procs, chunks = _plan_chunks(2000, 10**6)

@@ -32,10 +32,22 @@ class TestSimConfig:
         {"trials": 0}, {"h_ap": 0.0}, {"rho_db": float("nan")},
         {"tilt_deg": float("inf")}, {"area_side": float("inf")},
         {"ris_x": 40.5},
+        # an int field takes an integral non-bool number, a float field a
+        # real non-bool, non-string number; these used to be accepted or
+        # end in a TypeError
+        {"n_ris": 8.5}, {"m_ap": 2.5}, {"n_gue": True}, {"trials": 20.5},
+        {"kappa": "0.1"}, {"kappa": True}, {"m_ap": np.bool_(True)},
+        {"h_uav": np.float32("inf")},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
             SimConfig(**kw)
+
+    def test_accepts_numpy_numbers(self):
+        cfg = SimConfig(m_ap=np.int64(4), n_ris=np.int32(3),
+                        kappa=np.float32(0.25), area_side=40)
+        assert (cfg.m_ap, cfg.n_ris, cfg.kappa) == (4, 3, 0.25)
+        assert cfg.ris_x == 20.0
 
 
 class TestPlaceNodes:
