@@ -5,6 +5,10 @@ phases are chosen to make the reflected UAV paths add constructively with
 the direct ones.  Transmit power obeys a per-AP budget p_d, split with a
 fraction kappa to the UAV and the rest shared among GUEs proportionally to
 the analytic precoder second moments gamma.
+
+Every function takes one realization or a stack of them: leading axes
+(...) of its arrays are batch axes, and each entry of a stacked result is
+bit-identical to the result of its own realization.
 """
 from __future__ import annotations
 
@@ -12,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .channel import LargeScaleParams
+from .channel import LargeScaleParams, combine_paths
 from .geometry import ConfigError, SimulationError
 
 
 @dataclass(frozen=True)
 class RisConfig:
-    """Unit-modulus reflection coefficients v_n = exp(j theta_n)."""
+    """Unit-modulus reflection coefficients v_n = exp(j theta_n), (..., N)."""
 
     v: np.ndarray
 
@@ -40,8 +43,8 @@ class RisConfig:
 class PowerAllocation:
     """Per-AP, per-user transmit powers and power-control coefficients."""
 
-    p_dl: np.ndarray   # (M, K) watts
-    eta: np.ndarray    # (M, K) p_dl / gamma
+    p_dl: np.ndarray   # (..., M, K) watts
+    eta: np.ndarray    # (..., M, K) p_dl / gamma
 
 
 def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
@@ -51,11 +54,18 @@ def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
     With R = H_ris diag(h_ris_uav), element n gets
     v_n = exp(-j angle([R^T conj(h_uav)]_n)) so reflected paths add
     constructively with the direct AP-UAV paths.  A zero coefficient leaves
-    the phase at 0 (it cannot affect the product).
+    the phase at 0 (it cannot affect the product).  Shapes: H_ris
+    (..., M, N), h_ris_uav (..., N), h_uav (..., M).
     """
-    if H_ris.shape[1] == 0:
+    if H_ris.shape[-1] == 0:
         return RisConfig.none()
-    return RisConfig(v=_kernels.align_phases(H_ris, h_ris_uav, h_uav))
+    r = H_ris * h_ris_uav[..., None, :]
+    t = (np.swapaxes(r, -1, -2) @ np.conj(h_uav)[..., None])[..., 0]
+    mag = np.abs(t)
+    v = np.ones_like(t)
+    nz = mag > 0.0
+    v[nz] = np.conj(t[nz]) / mag[nz]
+    return RisConfig(v=v)
 
 
 def gamma_analytic(ls: LargeScaleParams, ris: RisConfig) -> np.ndarray:
@@ -68,11 +78,12 @@ def gamma_analytic(ls: LargeScaleParams, ris: RisConfig) -> np.ndarray:
     sum_n |H_ris[m,n]|^2.  The RIS->UAV leg has no scatter power.
     """
     v = np.asarray(ris.v, dtype=complex)
-    mu = _kernels.aggregate(ls.beta_direct * ls.los_direct, ls.H_ris, v,
-                            ls.beta_ris_user * ls.los_ris_user)
+    mu = combine_paths(ls.beta_direct * ls.los_direct, ls.H_ris, v,
+                       ls.beta_ris_user[..., None, :] * ls.los_ris_user)
     ris_var = (ls.beta_ris_user * ls.nlos_ris_user) ** 2
+    h_sq = np.sum(np.abs(ls.H_ris) ** 2, axis=-1)
     return np.abs(mu) ** 2 + (ls.beta_direct * ls.nlos_direct) ** 2 \
-        + ris_var[None, :] * np.sum(np.abs(ls.H_ris) ** 2, axis=1)[:, None]
+        + ris_var[..., None, :] * h_sq[..., :, None]
 
 
 def ppa_allocate(gamma: np.ndarray, kappa: float, p_d: float
@@ -86,13 +97,14 @@ def ppa_allocate(gamma: np.ndarray, kappa: float, p_d: float
     if not 0.0 <= kappa <= 1.0:
         raise ConfigError("kappa: must be in [0, 1]")
     gamma = np.asarray(gamma, dtype=float)
-    gue_sum = gamma[:, 1:].sum(axis=1)
+    gue_sum = gamma[..., 1:].sum(axis=-1)
     if np.any(gue_sum <= 0.0):
         raise SimulationError("degenerate geometry: zero GUE channel "
                               "strength at some AP")
     p_dl = np.empty_like(gamma)
-    p_dl[:, 0] = kappa * p_d
-    p_dl[:, 1:] = (1.0 - kappa) * p_d * gamma[:, 1:] / gue_sum[:, None]
+    p_dl[..., 0] = kappa * p_d
+    p_dl[..., 1:] = (1.0 - kappa) * p_d * gamma[..., 1:] \
+        / gue_sum[..., None]
     with np.errstate(invalid="ignore"):
         eta = np.where(p_dl > 0.0, p_dl / gamma, 0.0)
     return PowerAllocation(p_dl=p_dl, eta=eta)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .geometry import ConfigError, NetworkLayout, SimConfig
 
 THETA_3DB_DEG = 10.0   # half-power beamwidth of the elevation pattern
@@ -104,9 +103,10 @@ def array_response(n_elems: int, node_dir, d_ref, wavelength: float):
 
 @dataclass(frozen=True)
 class LargeScaleParams:
-    """Deterministic per-link quantities for one layout.
+    """Deterministic per-link quantities for one layout, or a stack of them.
 
-    Shapes: M APs, K = U + 1 users (column 0 = UAV), N RIS elements.
+    Shapes: M APs, K = U + 1 users (column 0 = UAV), N RIS elements, after
+    the layout's leading batch axes (...).
     Each Rician link h = beta * (los + nlos * z), z unit complex normal,
     is stored as its amplitude beta, its complex LoS part los (the weight
     sqrt(K/(K+1)) times the LoS phasor or array response) and its real
@@ -115,13 +115,13 @@ class LargeScaleParams:
     deterministic AP->RIS channel matrix (amplitude included).
     """
 
-    beta_direct: np.ndarray     # (M, K) amplitude sqrt(zeta)
-    los_direct: np.ndarray      # (M, K) weighted unit LoS phasors
-    nlos_direct: np.ndarray     # (M, K) scatter weights
-    H_ris: np.ndarray           # (M, N) deterministic AP->RIS channels
-    beta_ris_user: np.ndarray   # (K,) RIS->user amplitudes
-    los_ris_user: np.ndarray    # (N, K) weighted unit array responses
-    nlos_ris_user: np.ndarray   # (K,) scatter weights, 0 at index 0
+    beta_direct: np.ndarray     # (..., M, K) amplitude sqrt(zeta)
+    los_direct: np.ndarray      # (..., M, K) weighted unit LoS phasors
+    nlos_direct: np.ndarray     # (..., M, K) scatter weights
+    H_ris: np.ndarray           # (..., M, N) deterministic AP->RIS channels
+    beta_ris_user: np.ndarray   # (..., K) RIS->user amplitudes
+    los_ris_user: np.ndarray    # (..., N, K) weighted unit array responses
+    nlos_ris_user: np.ndarray   # (..., K) scatter weights, 0 at index 0
 
 
 def _rician_weights(k_linear):
@@ -137,64 +137,69 @@ def _nonzero(d):
 
 
 def large_scale(layout: NetworkLayout, cfg: SimConfig) -> LargeScaleParams:
-    """Evaluate every pathloss, antenna weight, Rician weight and LoS phase."""
-    users = layout.user_pos                      # (K, 3), UAV first
-    ap = layout.ap_pos
+    """Evaluate every pathloss, antenna weight, Rician weight and LoS phase.
+
+    A stacked layout gives stacked parameters, each entry bit-identical to
+    the parameters of its own layout.
+    """
+    users = layout.user_pos                      # (..., K, 3), UAV first
+    ap = layout.ap_pos                           # (..., M, 3)
+    ris = layout.ris_pos
     lam = cfg.wavelength_m
 
-    delta = users[None, :, :] - ap[:, None, :]
-    d_h = np.hypot(delta[:, :, 0], delta[:, :, 1])
-    d_3d = np.sqrt(d_h ** 2 + delta[:, :, 2] ** 2)
-    theta = np.degrees(np.arctan2(ap[:, 2][:, None] - users[:, 2][None, :],
-                                  d_h))
+    delta = users[..., None, :, :] - ap[..., :, None, :]
+    d_h = np.hypot(delta[..., 0], delta[..., 1])
+    d_3d = np.sqrt(d_h ** 2 + delta[..., 2] ** 2)
+    theta = np.degrees(np.arctan2(ap[..., :, None, 2]
+                                  - users[..., None, :, 2], d_h))
     gain_db = antenna_gain_db(theta, cfg.tilt_deg)
 
     zeta = np.empty_like(d_3d)
-    zeta[:, 0] = 10.0 ** (gain_db[:, 0] / 10.0) \
-        * pathloss_simple_linear(d_3d[:, 0], cfg)
-    zeta[:, 1:] = 10.0 ** ((gain_db[:, 1:]
-                            + pathloss_gue_db(d_3d[:, 1:], cfg)) / 10.0)
+    zeta[..., 0] = 10.0 ** (gain_db[..., 0] / 10.0) \
+        * pathloss_simple_linear(d_3d[..., 0], cfg)
+    zeta[..., 1:] = 10.0 ** ((gain_db[..., 1:]
+                              + pathloss_gue_db(d_3d[..., 1:], cfg)) / 10.0)
     los_w, nlos_direct = _rician_weights(rician_k_linear(d_3d))
     los_direct = los_w * np.exp(-1j * 2.0 * np.pi * d_3d / lam)
 
     # AP -> RIS (deterministic LoS, antenna-weighted d^-alpha law)
-    to_ris = layout.ris_pos[None, :] - ap
-    d_h_ris = np.hypot(to_ris[:, 0], to_ris[:, 1])
-    d_ap_ris = np.sqrt(d_h_ris ** 2 + to_ris[:, 2] ** 2)
-    theta_ris = np.degrees(np.arctan2(ap[:, 2] - layout.ris_pos[2], d_h_ris))
+    to_ris = ris - ap
+    d_h_ris = np.hypot(to_ris[..., 0], to_ris[..., 1])
+    d_ap_ris = np.sqrt(d_h_ris ** 2 + to_ris[..., 2] ** 2)
+    theta_ris = np.degrees(np.arctan2(ap[..., 2] - ris[2], d_h_ris))
     beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(theta_ris,
                                                    cfg.tilt_deg) / 10.0)
                           * pathloss_simple_linear(d_ap_ris, cfg))
-    H_ris = beta_ap_ris[:, None] * array_response(
-        cfg.n_ris, (ap - layout.ris_pos) / _nonzero(d_ap_ris)[:, None],
-        d_ap_ris, lam)
+    H_ris = beta_ap_ris[..., None] * array_response(
+        cfg.n_ris, (ap - ris) / _nonzero(d_ap_ris)[..., None], d_ap_ris,
+        lam)
 
     # RIS -> user legs; the UAV leg is pure LoS
-    from_ris = users - layout.ris_pos[None, :]
-    d_ris_user = np.sqrt(np.sum(from_ris ** 2, axis=1))
+    from_ris = users - ris
+    d_ris_user = np.sqrt(np.sum(from_ris ** 2, axis=-1))
     los_ru, nlos_ris_user = _rician_weights(rician_k_linear(d_ris_user))
-    los_ru[0], nlos_ris_user[0] = 1.0, 0.0
-    a_ris_user = array_response(
-        cfg.n_ris, from_ris / _nonzero(d_ris_user)[:, None], d_ris_user,
-        lam).T
+    los_ru[..., 0], nlos_ris_user[..., 0] = 1.0, 0.0
+    a_ris_user = np.swapaxes(array_response(
+        cfg.n_ris, from_ris / _nonzero(d_ris_user)[..., None], d_ris_user,
+        lam), -1, -2)
 
     return LargeScaleParams(
         beta_direct=np.sqrt(zeta), los_direct=los_direct,
         nlos_direct=nlos_direct, H_ris=H_ris,
         beta_ris_user=np.sqrt(pathloss_simple_linear(d_ris_user, cfg)),
-        los_ris_user=los_ru[None, :] * a_ris_user,
+        los_ris_user=los_ru[..., None, :] * a_ris_user,
         nlos_ris_user=nlos_ris_user)
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One small-scale realization of the fading channels.
+    """One small-scale realization of the fading channels, or a stack.
 
     The AP->RIS matrix is deterministic and lives in LargeScaleParams.
     """
 
-    h_direct: np.ndarray    # (M, K)
-    h_ris_user: np.ndarray  # (N, K), column 0 deterministic
+    h_direct: np.ndarray    # (..., M, K)
+    h_ris_user: np.ndarray  # (..., N, K), column 0 deterministic
 
 
 def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -208,21 +213,33 @@ def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return (z[..., 0] + 1j * z[..., 1]) * math.sqrt(0.5)
 
 
-def draw_channels(ls: LargeScaleParams,
-                  rng: np.random.Generator) -> ChannelSet:
-    """Draw one Rician realization h = beta * (los + nlos * z) of every link.
+def draw_channels(ls: LargeScaleParams, scatter) -> ChannelSet:
+    """One Rician realization h = beta * (los + nlos * z) of every link.
 
-    The direct scatter is drawn first, then the RIS->user scatter (none
-    when the RIS has no elements), so results are reproducible from the
-    generator state alone.  The RIS->UAV column has no scatter weight and
-    is the same for every generator state.
+    ``scatter`` is a Generator or the unit scatter (z_direct, z_ris_user)
+    drawn beforehand with the shapes of ``ls`` (for stacked parameters,
+    one draw per realization, stacked).  From a Generator the direct
+    scatter is drawn first, then the RIS->user scatter (none when the RIS
+    has no elements), so results are reproducible from the generator
+    state alone.  The RIS->UAV column has no scatter weight and is the
+    same for every draw.
     """
-    scatter = complex_normals(rng, ls.beta_direct.shape)
-    h_direct = ls.beta_direct * (ls.los_direct + ls.nlos_direct * scatter)
-    scatter_ru = complex_normals(rng, ls.los_ris_user.shape)
-    h_ris_user = ls.beta_ris_user[None, :] * (
-        ls.los_ris_user + ls.nlos_ris_user[None, :] * scatter_ru)
+    if isinstance(scatter, np.random.Generator):
+        scatter = (complex_normals(scatter, ls.beta_direct.shape),
+                   complex_normals(scatter, ls.los_ris_user.shape))
+    z_direct, z_ris_user = scatter
+    h_direct = ls.beta_direct * (ls.los_direct + ls.nlos_direct * z_direct)
+    h_ris_user = ls.beta_ris_user[..., None, :] * (
+        ls.los_ris_user + ls.nlos_ris_user[..., None, :] * z_ris_user)
     return ChannelSet(h_direct=h_direct, h_ris_user=h_ris_user)
+
+
+def combine_paths(h_direct, H_ris, v, h_ris_user):
+    """G[..., m, k] = h_direct[m, k] + sum_n H_ris[m, n] v[n] h_ris_user[n, k].
+
+    One matrix product per realization; leading axes are batch axes.
+    """
+    return h_direct + H_ris @ (v[..., :, None] * h_ris_user)
 
 
 def aggregate_channel(ls: LargeScaleParams, cs: ChannelSet,
@@ -231,11 +248,12 @@ def aggregate_channel(ls: LargeScaleParams, cs: ChannelSet,
 
     G[m, k] = h_direct[m, k] + sum_n H_ris[m, n] v[n] h_ris_user[n, k];
     with no RIS elements the sum is empty and G equals the direct matrix.
+    Leading batch axes of the channels and of v are carried through.
     """
     v = np.asarray(ris.v, dtype=complex)
-    n_ris = ls.H_ris.shape[1]
-    if v.shape[0] != n_ris or cs.h_ris_user.shape[0] != n_ris:
+    n_ris = ls.H_ris.shape[-1]
+    if v.shape[-1] != n_ris or cs.h_ris_user.shape[-2] != n_ris:
         raise ConfigError(
-            f"RIS size mismatch: v has {v.shape[0]} entries, "
+            f"RIS size mismatch: v has {v.shape[-1]} entries, "
             f"channels have {n_ris}")
-    return _kernels.aggregate(cs.h_direct, ls.H_ris, v, cs.h_ris_user)
+    return combine_paths(cs.h_direct, ls.H_ris, v, cs.h_ris_user)

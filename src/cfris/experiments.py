@@ -13,16 +13,20 @@ Every trial draws its randomness from a substream derived deterministically
 from (master_seed, trial_index), so results are bit-identical regardless of
 how many workers execute them.  Positions and fading are redrawn each trial.
 
-The sweep points of a study share their draws.  Trial index t of every
-point uses the same substream, and the draws of a smaller RIS are a prefix
-of those of a larger one, so one realization per trial index, drawn at the
-largest element count, serves every (RIS size, kappa) point; kappa enters
-only the power split and the SINR.  A different UAV height or antenna tilt
-changes the large-scale terms, so each (height, tilt) pair gets its own
-large-scale pass on the same substream.  The paired no-RIS reference of a
-RIS gain is the zero-element evaluation of the same realization.  A study
-runs all its points in one pass over the trial indices, in one process
-pool when it has more than one worker.
+The sweep points of a study share their draws; they may differ only in
+n_ris, kappa, h_uav and tilt_deg.  Trial index t of every point uses the
+same substream, which is drawn once per study: the node positions, then
+the unit scatter of the direct links, then that of the RIS->user links at
+the study's largest element count (the draws of a smaller RIS are a
+prefix of those of a larger one).  Each (UAV height, tilt) pair sets the
+UAV height in that draw and runs its own large-scale pass; every (RIS
+size, kappa) point of the pair is then evaluated on the same channels,
+kappa entering only the power split and the SINR.  The paired no-RIS
+reference of a RIS gain is the zero-element evaluation of the same
+realization.  A study runs all its points in one pass over the trial
+indices, in one process pool when it has more than one worker, and
+evaluates the trials of a chunk in batches: every stage function takes
+stacked realizations, each entry bit-identical to its own trial's.
 """
 from __future__ import annotations
 
@@ -35,8 +39,9 @@ import numpy as np
 
 from .beamforming import gamma_analytic, ppa_allocate, ris_align_uav
 from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
-                      draw_channels, large_scale)
-from .geometry import ConfigError, SimConfig, place_nodes
+                      complex_normals, draw_channels, large_scale)
+from .geometry import (FIELD_TYPES, ConfigError, NetworkLayout, SimConfig,
+                       place_nodes)
 from .link import rate_bps, ris_gain_db, sinr_all
 
 DEFAULT_KAPPAS = (0.02, 0.05, 0.1, 0.15)
@@ -51,6 +56,12 @@ DEFAULT_CDF_SCENARIOS = ((0.1, 15.0, False), (0.33, -5.0, False),
 SWEEPS = {"kappas": "kappa", "n_list": "n_ris", "heights": "h_uav"}
 # Fewest samples a 95%-likely rate is taken from.
 MIN_RATE_95_SAMPLES = 20
+# The only fields in which the points of one sweep may differ.
+PER_POINT_FIELDS = ("n_ris", "kappa", "h_uav", "tilt_deg")
+# Complex elements per batch of trials, counted as trials * M * (N_max + K):
+# 12 trials at M = 20, N = 60, K = 5, and 32 at N = 20.  Larger batches
+# are a little faster but hold more memory.
+BATCH_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -102,20 +113,43 @@ def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, gamma: np.ndarray,
     # p_d (sum_m |G[m,k]|^2 / sqrt(gamma[m,k]))^2, a gamma = 0 term adding
     # nothing.  A violation (or a NaN) is an internal inconsistency, not a
     # property of the drawn geometry (plain RuntimeError, not
-    # SimulationError).
+    # SimulationError).  Leading axes are batch axes.
     with np.errstate(divide="ignore", invalid="ignore"):
         coherent = np.where(gamma > 0.0, np.abs(G) ** 2 / np.sqrt(gamma), 0.0)
-    cap = cfg.p_d_w * np.sum(coherent, axis=0) ** 2 / cfg.noise_power_w
+    cap = cfg.p_d_w * np.sum(coherent, axis=-2) ** 2 / cfg.noise_power_w
     if not (np.all(rates >= 0.0) and np.all(sinr <= cap * (1.0 + 1e-9))):
         raise RuntimeError("SINR outside the coherent upper bound")
 
 
-def _draw(cfg: SimConfig, trial_index: int):
-    """Large-scale parameters and one channel realization at cfg.n_ris."""
-    rng = trial_rng(cfg.master_seed, trial_index)
-    layout = place_nodes(cfg, rng)
-    ls = large_scale(layout, cfg)
-    return ls, draw_channels(ls, rng)
+def _draw(cfg: SimConfig, trial_indices):
+    """Stacked layouts and unit scatter of trials, at cfg.n_ris elements.
+
+    Each trial consumes its substream as a single trial does: the node
+    positions, then the direct scatter, then the RIS->user scatter.
+    """
+    layouts, z_direct, z_ris_user = [], [], []
+    for trial_index in trial_indices:
+        rng = trial_rng(cfg.master_seed, trial_index)
+        layouts.append(place_nodes(cfg, rng))
+        z_direct.append(complex_normals(rng, (cfg.m_ap, cfg.n_users)))
+        z_ris_user.append(complex_normals(rng, (cfg.n_ris, cfg.n_users)))
+    layout = NetworkLayout(
+        ap_pos=np.stack([lay.ap_pos for lay in layouts]),
+        gue_pos=np.stack([lay.gue_pos for lay in layouts]),
+        uav_pos=np.stack([lay.uav_pos for lay in layouts]),
+        ris_pos=layouts[0].ris_pos)
+    return layout, (np.stack(z_direct), np.stack(z_ris_user))
+
+
+def _channels(cfg: SimConfig, layout: NetworkLayout, scatter):
+    """Large-scale parameters and channels of a drawn batch at cfg's UAV
+    height, tilt and first cfg.n_ris elements."""
+    uav_pos = layout.uav_pos.copy()
+    uav_pos[..., 2] = cfg.h_uav
+    ls = large_scale(replace(layout, uav_pos=uav_pos), cfg)
+    z_direct, z_ris_user = scatter
+    return ls, draw_channels(ls, (z_direct,
+                                  z_ris_user[..., :cfg.n_ris, :]))
 
 
 def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
@@ -123,13 +157,15 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
     """SINR and rates per kappa on the first n_ris RIS elements.
 
     Every RIS quantity is element-wise in n, so a prefix of a larger
-    realization is exactly the realization of the smaller RIS.
-    Raises SimulationError when the drawn geometry is degenerate.
+    realization is exactly the realization of the smaller RIS.  Leading
+    axes are batch axes.  Raises SimulationError when a drawn geometry is
+    degenerate.
     """
-    ls = replace(ls, H_ris=ls.H_ris[:, :n_ris],
-                 los_ris_user=ls.los_ris_user[:n_ris])
-    cs = replace(cs, h_ris_user=cs.h_ris_user[:n_ris])
-    ris = ris_align_uav(ls.H_ris, cs.h_ris_user[:, 0], cs.h_direct[:, 0])
+    ls = replace(ls, H_ris=ls.H_ris[..., :n_ris],
+                 los_ris_user=ls.los_ris_user[..., :n_ris, :])
+    cs = replace(cs, h_ris_user=cs.h_ris_user[..., :n_ris, :])
+    ris = ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0],
+                        cs.h_direct[..., 0])
     G = aggregate_channel(ls, cs, ris)
     W = np.conj(G)   # conjugate beamforming
     gamma = gamma_analytic(ls, ris)
@@ -144,27 +180,28 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
 
 
 def _groups(points):
-    """Sweep points that share every draw, in order of first appearance.
+    """Sweep points that share a large-scale pass, in order of appearance.
 
-    Points that differ only in n_ris and kappa share one realization,
-    drawn at their largest n_ris.  Each group is (draw config, the kappas
-    to evaluate per n_ris, [(point index, n_ris, kappa)]); every RIS
-    point's kappa is also evaluated at n_ris = 0, the paired no-RIS
-    reference of its gain.
+    Points at one (h_uav, tilt_deg) differ only in n_ris and kappa, so
+    they share one set of channels, formed at their largest n_ris.  Each
+    group is (its config, the kappas to evaluate per n_ris, [(point
+    index, n_ris, kappa)]); every RIS point's kappa is also evaluated at
+    n_ris = 0, the paired no-RIS reference of its gain.
     """
     members = {}
     for j, p in enumerate(points):
-        key = p.with_overrides(n_ris=0, kappa=0.0)
-        members.setdefault(key, []).append((j, p.n_ris, p.kappa))
+        members.setdefault((p.h_uav, p.tilt_deg), []).append(
+            (j, p.n_ris, p.kappa))
     groups = []
-    for key, group in members.items():
+    for group in members.values():
         evals = {}
         for _, n_ris, kappa in group:
             evals.setdefault(n_ris, set()).add(kappa)
             if n_ris > 0:
                 evals.setdefault(0, set()).add(kappa)
-        groups.append((key.with_overrides(n_ris=max(evals)),
-                       {n: sorted(k) for n, k in evals.items()}, group))
+        cfg = points[group[0][0]].with_overrides(n_ris=max(evals))
+        groups.append((cfg, {n: sorted(k) for n, k in evals.items()},
+                       group))
     return groups
 
 
@@ -177,25 +214,33 @@ class PointResults(NamedTuple):
 
 
 def _run_chunk(args) -> list[PointResults]:
-    """Evaluate every sweep point on one chunk of trial indices."""
+    """Evaluate every sweep point on one chunk of trial indices.
+
+    The chunk is drawn and evaluated in batches of trials, as many as
+    fit in BATCH_ELEMENTS = trials * M * (N_max + K) (at least one).
+    """
     points, chunk = args
     n = len(chunk)
     rates = [np.empty((n, p.n_users)) for p in points]
     sinrs = [np.empty((n, p.n_users)) for p in points]
     gains = [np.full(n, np.nan) for p in points]
     groups = _groups(points)
-    for row, trial_index in enumerate(chunk):
-        for draw_cfg, evals, group in groups:
-            ls, cs = _draw(draw_cfg, trial_index)
-            out = {n: _evaluate(draw_cfg, ls, cs, n, kappas)
-                   for n, kappas in evals.items()}
+    draw_cfg = max((cfg for cfg, _, _ in groups), key=lambda c: c.n_ris)
+    size = max(1, BATCH_ELEMENTS
+               // (draw_cfg.m_ap * (draw_cfg.n_ris + draw_cfg.n_users)))
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        layout, scatter = _draw(draw_cfg, chunk[rows])
+        for cfg, evals, group in groups:
+            ls, cs = _channels(cfg, layout, scatter)
+            out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
+                   for n_ris, kappas in evals.items()}
             for j, n_ris, kappa in group:
-                sinr, rates[j][row] = out[n_ris][kappa]
-                sinrs[j][row] = sinr
+                sinr, rates[j][rows] = out[n_ris][kappa]
+                sinrs[j][rows] = sinr
                 if n_ris > 0:
                     sinr0, _ = out[0][kappa]
-                    gains[j][row] = ris_gain_db(float(sinr[0]),
-                                                float(sinr0[0]))
+                    gains[j][rows] = ris_gain_db(sinr[:, 0], sinr0[:, 0])
     return [PointResults(*arrays) for arrays in zip(rates, sinrs, gains)]
 
 
@@ -217,13 +262,19 @@ def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
     """All trials of every sweep point, in one pass over the trial indices.
 
     ``points`` are SimConfigs sharing every field but n_ris, kappa,
-    h_uav and tilt_deg; trial index t of every point is drawn from
-    ``trial_rng(master_seed, t)``, for t below their common ``trials``.
+    h_uav and tilt_deg (ConfigError otherwise); trial index t of every
+    point is drawn from ``trial_rng(master_seed, t)``, for t below their
+    common ``trials``.
     """
     counts = {p.trials for p in points}
     if len(counts) != 1:
         raise ConfigError(f"trials: need one or more sweep points sharing "
                           f"one trial count, got {sorted(counts)}")
+    for field in FIELD_TYPES:
+        if field not in PER_POINT_FIELDS \
+                and len({getattr(p, field) for p in points}) > 1:
+            raise ConfigError(f"{field}: sweep points may differ only in "
+                              f"{', '.join(PER_POINT_FIELDS)}")
     procs, chunks = _plan_chunks(counts.pop(), workers)
     tasks = [(points, chunk) for chunk in chunks]
     if procs == 1:

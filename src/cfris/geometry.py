@@ -64,8 +64,12 @@ class SimConfig:
             abc, noun = _NUMBERS[kind]
             # a numpy integer is an Integral, and so is a bool
             _check(isinstance(value, abc) and not isinstance(value, bool)
-                   and (kind is int or math.isfinite(value)), key,
+                   and (kind is int or _finite(value)), key,
                    f"must be {noun}")
+            # every int field has a lower bound below; master_seed has its
+            # own 64-bit range
+            _check(kind is float or key == "master_seed" or value < 2**63,
+                   key, "must be below 2**63")
         for key in ("m_ap", "n_gue", "trials"):
             _check(getattr(self, key) >= 1, key, "must be >= 1")
         # h_ap enters the Hata constant through log10(h_ap)
@@ -105,6 +109,13 @@ _NUMBERS = {int: (numbers.Integral, "an integer"),
             float: (numbers.Real, "a finite real number")}
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 def _check(ok: bool, key: str, msg: str):
     if not ok:
         raise ConfigError(f"{key}: {msg}")
@@ -112,20 +123,23 @@ def _check(ok: bool, key: str, msg: str):
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """One realization of all node positions.
+    """One realization of all node positions, or a stack of them.
 
-    User index convention: k = 0 is the UAV, k = 1..U are GUEs.
+    User index convention: k = 0 is the UAV, k = 1..U are GUEs.  The
+    moving nodes may carry the same leading batch axes (...), one entry
+    per realization; the RIS is fixed and is shared by all of them.
     """
 
-    ap_pos: np.ndarray    # (M, 3)
-    gue_pos: np.ndarray   # (U, 3)
-    uav_pos: np.ndarray   # (3,)
+    ap_pos: np.ndarray    # (..., M, 3)
+    gue_pos: np.ndarray   # (..., U, 3)
+    uav_pos: np.ndarray   # (..., 3)
     ris_pos: np.ndarray   # (3,)
 
     @property
     def user_pos(self) -> np.ndarray:
-        """(U+1, 3) stack with the UAV first."""
-        return np.vstack([self.uav_pos, self.gue_pos])
+        """(..., U+1, 3) stack with the UAV first."""
+        return np.concatenate([self.uav_pos[..., None, :], self.gue_pos],
+                              axis=-2)
 
 
 def place_nodes(cfg: SimConfig, rng: np.random.Generator) -> NetworkLayout:

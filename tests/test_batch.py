@@ -1,0 +1,193 @@
+"""Batched evaluation: every stage function on stacked realizations gives
+exactly its per-realization results, and the batch size of a sweep never
+changes a bit of its output."""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cfris import (ConfigError, NetworkLayout, SimConfig, aggregate_channel,
+                   draw_channels, gamma_analytic, large_scale, place_nodes,
+                   ppa_allocate, rate_bps, ris_align_uav, ris_gain_db,
+                   sinr_all)
+from cfris import experiments
+from cfris.channel import complex_normals
+from cfris.experiments import _sanity_check_rates, run_sweep
+
+CFG = SimConfig(m_ap=6, n_gue=3, n_ris=8, kappa=0.2, master_seed=5,
+                trials=25)
+T = 7
+
+
+def _trials():
+    """Per-trial layouts and unit scatter, drawn as the pipeline does."""
+    out = []
+    for t in range(T):
+        rng = np.random.default_rng(100 + t)
+        layout = place_nodes(CFG, rng)
+        z = (complex_normals(rng, (CFG.m_ap, CFG.n_users)),
+             complex_normals(rng, (CFG.n_ris, CFG.n_users)))
+        out.append((layout, z))
+    return out
+
+
+def _stack(items):
+    """Stack equal-typed results (arrays, or dataclasses of arrays)."""
+    first = items[0]
+    if isinstance(first, np.ndarray):
+        return np.stack(items)
+    return type(first)(**{f: _stack([getattr(x, f) for x in items])
+                          for f in first.__dataclass_fields__})
+
+
+def _assert_same(stacked, single):
+    if isinstance(stacked, np.ndarray):
+        assert np.array_equal(stacked, single, equal_nan=True)
+        return
+    for f in stacked.__dataclass_fields__:
+        assert np.array_equal(getattr(stacked, f), getattr(single, f)), f
+
+
+def _prefix(ls, cs, n_ris):
+    # the RIS prefix of a larger realization, sliced as the pipeline does
+    ls = replace(ls, H_ris=ls.H_ris[..., :n_ris],
+                 los_ris_user=ls.los_ris_user[..., :n_ris, :])
+    return ls, replace(cs, h_ris_user=cs.h_ris_user[..., :n_ris, :])
+
+
+@pytest.mark.parametrize("n_ris", [0, 3, 8])
+def test_stage_functions_match_per_trial_calls(n_ris):
+    trials = _trials()
+    layouts = [lay for lay, _ in trials]
+    stacked_layout = NetworkLayout(
+        ap_pos=_stack([lay.ap_pos for lay in layouts]),
+        gue_pos=_stack([lay.gue_pos for lay in layouts]),
+        uav_pos=_stack([lay.uav_pos for lay in layouts]),
+        ris_pos=layouts[0].ris_pos)
+    _assert_same(stacked_layout.user_pos,
+                 _stack([lay.user_pos for lay in layouts]))
+
+    # every stage, once per trial and once on the stack
+    single = []
+    for layout, z in trials:
+        full = large_scale(layout, CFG)
+        ls, cs = _prefix(full, draw_channels(full, z), n_ris)
+        ris = ris_align_uav(ls.H_ris, cs.h_ris_user[:, 0], cs.h_direct[:, 0])
+        G = aggregate_channel(ls, cs, ris)
+        gamma = gamma_analytic(ls, ris)
+        pa = ppa_allocate(gamma, CFG.kappa, CFG.p_d_w)
+        sinr = sinr_all(G, np.conj(G), pa.eta, CFG.noise_power_w)
+        single.append(dict(ls=ls, cs=cs, v=ris.v, G=G, gamma=gamma, pa=pa,
+                           sinr=sinr, rates=rate_bps(sinr, CFG.bandwidth_hz)))
+
+    ls = large_scale(stacked_layout, CFG)
+    _assert_same(ls, _stack([large_scale(lay, CFG) for lay in layouts]))
+    cs = draw_channels(ls, (_stack([z[0] for _, z in trials]),
+                            _stack([z[1] for _, z in trials])))
+    ls, cs = _prefix(ls, cs, n_ris)
+    _assert_same(ls, _stack([s["ls"] for s in single]))
+    _assert_same(cs, _stack([s["cs"] for s in single]))
+    ris = ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0], cs.h_direct[..., 0])
+    if n_ris:
+        _assert_same(ris.v, _stack([s["v"] for s in single]))
+    G = aggregate_channel(ls, cs, ris)
+    _assert_same(G, _stack([s["G"] for s in single]))
+    gamma = gamma_analytic(ls, ris)
+    _assert_same(gamma, _stack([s["gamma"] for s in single]))
+    pa = ppa_allocate(gamma, CFG.kappa, CFG.p_d_w)
+    _assert_same(pa, _stack([s["pa"] for s in single]))
+    sinr = sinr_all(G, np.conj(G), pa.eta, CFG.noise_power_w)
+    _assert_same(sinr, _stack([s["sinr"] for s in single]))
+    rates = rate_bps(sinr, CFG.bandwidth_hz)
+    _assert_same(rates, _stack([s["rates"] for s in single]))
+    _sanity_check_rates(CFG, G, gamma, sinr, rates)
+
+
+def test_draw_from_a_generator_matches_the_scatter_pair():
+    layout, z = _trials()[0]
+    ls = large_scale(layout, CFG)
+    rng = np.random.default_rng(100)
+    place_nodes(CFG, rng)   # the scatter follows the positions
+    _assert_same(draw_channels(ls, rng), draw_channels(ls, z))
+
+
+def test_gain_matches_per_trial_calls():
+    with_ris = np.array([2.0, 1.0, 0.0, 3.0, 0.5])
+    without = np.array([1.0, 0.0, 1.0, 3.0, -1.0])
+    stacked = ris_gain_db(with_ris, without)
+    assert np.array_equal(
+        stacked, [ris_gain_db(float(a), float(b))
+                  for a, b in zip(with_ris, without)], equal_nan=True)
+    assert np.isnan(stacked[1]) and np.isnan(stacked[4])
+    assert stacked[2] == -np.inf
+
+
+def test_sanity_check_fails_on_the_stack_iff_a_trial_fails():
+    G = np.ones((3, 2, 2), dtype=complex)
+    gamma = np.ones((3, 2, 2))
+    sinr = np.full((3, 2), 0.5)
+    cfg = SimConfig(p_d_w=1.0, noise_power_dbm=30.0)   # 1 W noise
+    _sanity_check_rates(cfg, G, gamma, sinr, rate_bps(sinr, 1.0))
+    sinr[1, 0] = 5.0   # above the coherent cap p_d (2 * 1)^2 / 1 = 4
+    with pytest.raises(RuntimeError):
+        _sanity_check_rates(cfg, G, gamma, sinr, rate_bps(sinr, 1.0))
+    for t in (0, 2):
+        _sanity_check_rates(cfg, G[t], gamma[t], sinr[t],
+                            rate_bps(sinr[t], 1.0))
+    with pytest.raises(RuntimeError):
+        _sanity_check_rates(cfg, G[1], gamma[1], sinr[1],
+                            rate_bps(sinr[1], 1.0))
+
+
+# mixed groups: N = 0 and RIS prefixes, kappa = 0 (NaN gain), two heights
+# and two tilts
+POINTS = [CFG.with_overrides(n_ris=n, kappa=k, h_uav=h, tilt_deg=tilt)
+          for h, tilt in ((40.0, 15.0), (200.0, -5.0))
+          for n in (0, 3, 8) for k in (0.0, 0.3)]
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The trial count of every batch drawn in this process."""
+    sizes = []
+    draw = experiments._draw
+
+    def recording_draw(cfg, trial_indices):
+        sizes.append(len(trial_indices))
+        return draw(cfg, trial_indices)
+
+    monkeypatch.setattr(experiments, "_draw", recording_draw)
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batch_size_does_not_change_results(monkeypatch, batch_sizes, batch,
+                                            workers):
+    default = run_sweep(POINTS)
+    batch_sizes.clear()
+    # a budget of `batch` trials at the largest RIS; 25 trials split into
+    # chunks of 6 or 7 (workers 1) or 3 or 4 (workers 2) leave short batches
+    per_trial = CFG.m_ap * (CFG.n_ris + CFG.n_users)
+    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch * per_trial)
+    got = run_sweep(POINTS, workers=workers)
+    if workers == 1:
+        assert max(batch_sizes) == batch
+        assert sum(batch_sizes) == CFG.trials
+    for a, b in zip(default, got, strict=True):
+        assert np.array_equal(a.rates_bps, b.rates_bps)
+        assert np.array_equal(a.sinr, b.sinr)
+        assert np.array_equal(a.ris_gain_db, b.ris_gain_db, equal_nan=True)
+
+
+def test_default_batch_holds_the_whole_chunk(batch_sizes):
+    run_sweep(POINTS)
+    # 4 chunks of 25 trials, each drawn once and shared by every point
+    assert batch_sizes == [7, 6, 6, 6]
+
+
+@pytest.mark.parametrize("field, value", [("m_ap", 7), ("master_seed", 12),
+                                          ("noise_power_dbm", -60.0)])
+def test_points_must_share_every_other_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        run_sweep([CFG, CFG.with_overrides(**{field: value})])

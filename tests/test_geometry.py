@@ -38,10 +38,21 @@ class TestSimConfig:
         {"n_ris": 8.5}, {"m_ap": 2.5}, {"n_gue": True}, {"trials": 20.5},
         {"kappa": "0.1"}, {"kappa": True}, {"m_ap": np.bool_(True)},
         {"h_uav": np.float32("inf")},
+        # an int beyond the float range in a float field used to end in
+        # an OverflowError, and one of 2**63 or more in an int field was
+        # accepted (trials then failed in the chunk plan)
+        {"area_side": 10**400}, {"trials": 10**400}, {"m_ap": 10**400},
+        {"n_ris": 2**63},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
             SimConfig(**kw)
+
+    def test_accepts_the_64_bit_bounds(self):
+        # master_seed keeps its own range, up to 2**64 - 1
+        assert SimConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
+        assert SimConfig(n_ris=2**63 - 1).n_ris == 2**63 - 1
+        assert SimConfig(area_side=10**300).area_side == 10**300
 
     def test_accepts_numpy_numbers(self):
         cfg = SimConfig(m_ap=np.int64(4), n_ris=np.int32(3),

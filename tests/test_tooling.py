@@ -1,5 +1,7 @@
-"""The benchmark's tracer finds every cfris name it wraps, and its
-workloads still run through the CLI."""
+"""The benchmark's tracer finds every cfris name it wraps and records the
+pipeline stages, its workloads still run through the CLI, and their CSVs
+still match the benchmark's references."""
+import gzip
 import importlib
 import runpy
 from pathlib import Path
@@ -12,7 +14,13 @@ from cfris import cli
 # not run the script's main block.
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 CHILD = runpy.run_path(str(PERFBENCH / "child.py"))
-WORKLOADS = runpy.run_path(str(PERFBENCH / "run.py"))["WORKLOADS"]
+RUN = runpy.run_path(str(PERFBENCH / "run.py"))
+WORKLOADS = RUN["WORKLOADS"]
+
+
+def _spec(args):
+    parsed = cli.build_parser().parse_args(args)
+    return parsed, cli.load_config(parsed.config, vars(parsed))[1]
 
 
 @pytest.mark.parametrize(
@@ -39,3 +47,39 @@ def test_workload_runs(name):
     rows = cli.run_experiment(spec, workers=args.workers)
     # ris-gain has a row per point; cdf one per point, user (2) and trial
     assert len(rows) == wl.points * (1 if name == "ris-gain" else 2 * 2)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_runs_traced(name, tmp_path):
+    # every stage a traced benchmark run times must be called under the
+    # tracer's wrappers, with arguments its work counters accept
+    wl = WORKLOADS[name]
+    _, spec = _spec([*wl.args, "--trials", "2", "--workers", "1"])
+    tracer = CHILD["Tracer"]()
+    tracer.install()
+    try:
+        cli.run(spec, tmp_path, workers=1)
+    finally:
+        tracer.restore()
+    summary = tracer.summary(1)
+    assert summary["missing"] == []
+    for stage in ("channel.large_scale", "link.sinr_all",
+                  "beamforming.gamma_analytic"):
+        assert summary["calls"].get(stage, 0) > 0, stage
+
+
+@pytest.mark.parametrize("name, master, workers", [
+    *(("ris-gain", master, 1) for master in RUN["MASTER_SEEDS"]),
+    ("cdf-w2", RUN["MASTER_SEEDS"][0], 1),
+])
+def test_workload_matches_reference(name, master, workers, tmp_path):
+    # the benchmark fails an invocation whose CSV differs from these
+    # references; a change of results shows here first
+    wl = WORKLOADS[name]
+    args, spec = _spec([*RUN["cli_args"](wl, master, tmp_path),
+                        "--workers", str(workers)])
+    assert spec.base.trials == wl.trials
+    csv = cli.run(spec, tmp_path, workers=args.workers)
+    ref = gzip.decompress(RUN["reference_path"](wl, master).read_bytes())
+    assert RUN["compare_csv"](csv.read_text(encoding="utf-8"),
+                              ref.decode()) is None
