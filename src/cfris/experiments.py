@@ -21,12 +21,12 @@ the study's largest element count (the draws of a smaller RIS are a
 prefix of those of a larger one).  Each (UAV height, tilt) pair sets the
 UAV height in that draw and runs its own large-scale pass; every (RIS
 size, kappa) point of the pair is then evaluated on the same channels,
-kappa entering only the power split and the SINR.  The paired no-RIS
-reference of a RIS gain is the zero-element evaluation of the same
-realization.  A study runs all its points in one pass over the trial
-indices, in one process pool when it has more than one worker, and
-evaluates the trials of a chunk in batches: every stage function takes
-stacked realizations, each entry bit-identical to its own trial's.
+kappa entering only the power split and the SINR.  The engine evaluates
+only the points it is given; ris_gain_sweep adds the zero-element point
+that pairs each RIS gain.  The unit of work is a batch of consecutive
+trial indices, drawn and evaluated as stacked arrays, each entry
+bit-identical to its own trial's; a study runs its batches in turn, or
+maps them over one process pool when it has more than one worker.
 """
 from __future__ import annotations
 
@@ -152,9 +152,16 @@ def _channels(cfg: SimConfig, layout: NetworkLayout, scatter):
                                   z_ris_user[..., :cfg.n_ris, :]))
 
 
+class PointResults(NamedTuple):
+    """Every trial of one sweep point; row t holds trial index t."""
+
+    rates_bps: np.ndarray     # (T, K) per-user, column 0 = UAV
+    sinr: np.ndarray          # (T, K) linear
+
+
 def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
               n_ris: int, kappas) -> dict:
-    """SINR and rates per kappa on the first n_ris RIS elements.
+    """PointResults per kappa on the first n_ris RIS elements.
 
     Every RIS quantity is element-wise in n, so a prefix of a larger
     realization is exactly the realization of the smaller RIS.  Leading
@@ -175,7 +182,7 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
         sinr = sinr_all(G, W, pa.eta, cfg.noise_power_w)
         rates = rate_bps(sinr, cfg.bandwidth_hz)
         _sanity_check_rates(cfg, G, gamma, sinr, rates)
-        out[kappa] = sinr, rates
+        out[kappa] = PointResults(rates, sinr)
     return out
 
 
@@ -185,8 +192,7 @@ def _groups(points):
     Points at one (h_uav, tilt_deg) differ only in n_ris and kappa, so
     they share one set of channels, formed at their largest n_ris.  Each
     group is (its config, the kappas to evaluate per n_ris, [(point
-    index, n_ris, kappa)]); every RIS point's kappa is also evaluated at
-    n_ris = 0, the paired no-RIS reference of its gain.
+    index, n_ris, kappa)]).
     """
     members = {}
     for j, p in enumerate(points):
@@ -197,65 +203,43 @@ def _groups(points):
         evals = {}
         for _, n_ris, kappa in group:
             evals.setdefault(n_ris, set()).add(kappa)
-            if n_ris > 0:
-                evals.setdefault(0, set()).add(kappa)
         cfg = points[group[0][0]].with_overrides(n_ris=max(evals))
         groups.append((cfg, {n: sorted(k) for n, k in evals.items()},
                        group))
     return groups
 
 
-class PointResults(NamedTuple):
-    """Every trial of one sweep point; row t holds trial index t."""
-
-    rates_bps: np.ndarray     # (T, K) per-user, column 0 = UAV
-    sinr: np.ndarray          # (T, K) linear
-    ris_gain_db: np.ndarray   # (T,) paired UAV gain, NaN without a RIS
-
-
 def _run_chunk(args) -> list[PointResults]:
-    """Evaluate every sweep point on one chunk of trial indices.
+    """Draw one batch of trial indices and evaluate every sweep point on
+    it; row t of each result is the batch's t-th trial."""
+    points, batch = args
+    layout, scatter = _draw(max(points, key=lambda p: p.n_ris), batch)
+    results = [None] * len(points)
+    for cfg, evals, group in _groups(points):
+        ls, cs = _channels(cfg, layout, scatter)
+        out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
+               for n_ris, kappas in evals.items()}
+        for j, n_ris, kappa in group:
+            results[j] = out[n_ris][kappa]
+    return results
 
-    The chunk is drawn and evaluated in batches of trials, as many as
-    fit in BATCH_ELEMENTS = trials * M * (N_max + K) (at least one).
+
+def _plan_chunks(points, workers: int):
+    """Worker processes and the batches of trial indices of one sweep.
+
+    A batch is a contiguous run of trial indices, as many as fit in
+    BATCH_ELEMENTS = trials * M * (N_max + K) (at least one).  Forking
+    more processes than batches or usable CPUs buys nothing, so the pool
+    is min(workers, batches, CPUs).
     """
-    points, chunk = args
-    n = len(chunk)
-    rates = [np.empty((n, p.n_users)) for p in points]
-    sinrs = [np.empty((n, p.n_users)) for p in points]
-    gains = [np.full(n, np.nan) for p in points]
-    groups = _groups(points)
-    draw_cfg = max((cfg for cfg, _, _ in groups), key=lambda c: c.n_ris)
-    size = max(1, BATCH_ELEMENTS
-               // (draw_cfg.m_ap * (draw_cfg.n_ris + draw_cfg.n_users)))
-    for start in range(0, n, size):
-        rows = slice(start, start + size)
-        layout, scatter = _draw(draw_cfg, chunk[rows])
-        for cfg, evals, group in groups:
-            ls, cs = _channels(cfg, layout, scatter)
-            out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
-                   for n_ris, kappas in evals.items()}
-            for j, n_ris, kappa in group:
-                sinr, rates[j][rows] = out[n_ris][kappa]
-                sinrs[j][rows] = sinr
-                if n_ris > 0:
-                    sinr0, _ = out[0][kappa]
-                    gains[j][rows] = ris_gain_db(sinr[:, 0], sinr0[:, 0])
-    return [PointResults(*arrays) for arrays in zip(rates, sinrs, gains)]
-
-
-def _plan_chunks(trials: int, workers: int):
-    """Worker processes and contiguous trial-index chunks for one sweep.
-
-    Forking more processes than chunks or usable CPUs buys nothing, so
-    the pool is min(workers, trials, CPUs), a chunk holding at least one
-    trial; four chunks per process even out their run times.
-    """
-    procs = max(1, min(workers, trials, len(os.sched_getaffinity(0))))
-    chunks = [range(int(s[0]), int(s[-1]) + 1)
-              for s in np.array_split(np.arange(trials), 4 * procs)
-              if s.size]
-    return procs, chunks
+    p = max(points, key=lambda q: q.n_ris)
+    size = max(1, BATCH_ELEMENTS // (p.m_ap * (p.n_ris + p.n_users)))
+    batches = [range(start, min(start + size, p.trials))
+               for start in range(0, p.trials, size)]
+    # the scheduler functions exist only on some Unix platforms
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(workers, len(batches), cpus)), batches
 
 
 def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
@@ -275,15 +259,17 @@ def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
                 and len({getattr(p, field) for p in points}) > 1:
             raise ConfigError(f"{field}: sweep points may differ only in "
                               f"{', '.join(PER_POINT_FIELDS)}")
-    procs, chunks = _plan_chunks(counts.pop(), workers)
-    tasks = [(points, chunk) for chunk in chunks]
+    procs, batches = _plan_chunks(points, workers)
+    tasks = [(points, batch) for batch in batches]
     if procs == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:
+        # four work items per process even out their run times
+        chunksize = -(-len(tasks) // (4 * procs))
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
-    return [PointResults(*map(np.concatenate, zip(*per_chunk)))
-            for per_chunk in zip(*parts)]
+            parts = list(pool.map(_run_chunk, tasks, chunksize=chunksize))
+    return [PointResults(*map(np.concatenate, zip(*per_batch)))
+            for per_batch in zip(*parts)]
 
 
 def run_trial(cfg: SimConfig, trial_index: int) -> PointResults:
@@ -329,6 +315,9 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
     if cfg.trials < MIN_RATE_95_SAMPLES:
         raise ConfigError(f"trials: rate-region needs at least "
                           f"{MIN_RATE_95_SAMPLES} per point, got {cfg.trials}")
+    if any(int(n) < 1 for n in n_list):
+        # an N = 0 system would repeat the no-ris rows under a RIS name
+        raise ConfigError("n_list: rate-region needs n_ris >= 1")
     systems = [("no-ris", 0)] + [(f"ris-n{int(n)}", int(n)) for n in n_list]
     grid = [(name, n_ris, float(kappa)) for name, n_ris in systems
             for kappa in kappa_list]
@@ -396,16 +385,19 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
     if any(int(n) < 1 for n in n_list):
         # no RIS: the paired gain is undefined
         raise ConfigError("n_list: ris-gain needs n_ris >= 1")
-    grid = [(int(n_ris), float(h_uav)) for h_uav in heights
-            for n_ris in n_list]
-    points = [cfg.with_overrides(n_ris=n_ris, h_uav=h_uav)
-              for n_ris, h_uav in grid]
-    results = run_sweep(points, workers=workers)
-    return [{
-        "n_ris": n_ris,
-        "h_uav_m": h_uav,
-        "mean_gain_db": float(np.mean(res.ris_gain_db)),
-    } for (n_ris, h_uav), res in zip(grid, results)]
+    n_list = [int(n) for n in n_list]
+    # per height: the paired no-RIS reference, then each element count
+    points = [cfg.with_overrides(n_ris=n_ris, h_uav=float(h_uav))
+              for h_uav in heights for n_ris in (0, *n_list)]
+    results = iter(run_sweep(points, workers=workers))
+    rows = []
+    for h_uav in heights:
+        ref = next(results).sinr[:, 0]
+        for n_ris in n_list:
+            gain = ris_gain_db(next(results).sinr[:, 0], ref)
+            rows.append({"n_ris": n_ris, "h_uav_m": float(h_uav),
+                         "mean_gain_db": float(np.mean(gain))})
+    return rows
 
 
 class Study(NamedTuple):

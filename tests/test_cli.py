@@ -317,6 +317,14 @@ class TestMain:
         assert "at least 20" in capsys.readouterr().err
         assert not (tmp_path / "rate_region.csv").exists()
 
+    def test_rate_region_zero_elements_exit_1(self, tmp_path, capsys):
+        # "ris-n0" rows used to repeat the no-ris rows
+        code = main(["--experiment", "rate-region", "--n-ris", "0,15",
+                     "--trials", "20", "--out", str(tmp_path)])
+        assert code == 1
+        assert "n_ris >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "rate_region.csv").exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_degenerate_geometry_exit_1(self, tmp_path, capsys, workers):
         # GUE channel strengths underflow to 0 in a 1e100 m wide area

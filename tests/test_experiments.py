@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cfris import (ConfigError, ExperimentSpec, SimConfig, likely_rate_95,
-                   rate_cdf, rate_region, ris_gain_sweep, run_trial,
-                   run_trials)
+                   rate_cdf, rate_region, ris_gain_db, ris_gain_sweep,
+                   run_trial, run_trials)
 from cfris import experiments
 from cfris.experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
                                DEFAULT_N_LIST, MIN_RATE_95_SAMPLES,
@@ -13,6 +13,10 @@ from cfris.experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
                                run_experiment, run_sweep, scenario_label)
 
 SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, trials=40, master_seed=11)
+# complex elements of one SMALL trial at its largest RIS: M * (N + K)
+SMALL_TRIAL_ELEMENTS = 6 * (8 + 4)
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 
 class TestRunTrial:
@@ -21,7 +25,9 @@ class TestRunTrial:
         b = run_trial(SMALL, 5)
         assert np.array_equal(a.rates_bps, b.rates_bps)
         assert np.array_equal(a.sinr, b.sinr)
-        assert np.array_equal(a.ris_gain_db, b.ris_gain_db)
+        ref = run_trial(SMALL.with_overrides(n_ris=0), 5)
+        assert np.array_equal(ris_gain_db(a.sinr[:, 0], ref.sinr[:, 0]),
+                              ris_gain_db(b.sinr[:, 0], ref.sinr[:, 0]))
 
     def test_distinct_trials_differ(self):
         a = run_trial(SMALL, 0)
@@ -30,7 +36,6 @@ class TestRunTrial:
 
     def test_no_ris_has_no_gain(self):
         r = run_trial(SMALL.with_overrides(n_ris=0), 3)
-        assert np.isnan(r.ris_gain_db[0])
         assert np.all(r.rates_bps >= 0.0)
 
     def test_kappa_zero_silences_uav(self):
@@ -57,14 +62,13 @@ class TestRunTrial:
             r.rates_bps[0],
             [13023772.651474953, 11286413.664331613, 10134065.805796774],
             rtol=1e-12)
-        assert r.ris_gain_db[0] == pytest.approx(0.40463537910730485,
-                                                 rel=1e-12)
         r0 = run_trial(cfg.with_overrides(n_ris=0), 4)
         np.testing.assert_allclose(
             r0.rates_bps[0],
             [12075961.266997825, 11688602.857884252, 6758115.929857713],
             rtol=1e-12)
-        assert np.isnan(r0.ris_gain_db[0])
+        assert ris_gain_db(r.sinr[0, 0], r0.sinr[0, 0]) == pytest.approx(
+            0.40463537910730485, rel=1e-12)
 
     def test_single_ap_within_coherent_bound(self):
         # GUE 4 has |G|^2 / gamma = 1.97 at the only AP: its SINR 0.786
@@ -77,10 +81,11 @@ class TestRunTrial:
 
 
 def _per_point(cfg, trials):
-    """Reference: every trial of one sweep point run on its own."""
+    """Reference: every trial of one sweep point run on its own; rates
+    and SINR, (trials, K) each."""
     results = [run_trial(cfg, i) for i in range(trials)]
     return (np.array([r.rates_bps[0] for r in results]),
-            [r.ris_gain_db[0] for r in results])
+            np.array([r.sinr[0] for r in results]))
 
 
 class TestSweepEquivalence:
@@ -132,10 +137,13 @@ class TestSweepEquivalence:
         rows = ris_gain_sweep(cfg, n_list=n_list, heights=heights)
         expected = []
         for h_uav in heights:
+            _, sinr0 = _per_point(cfg.with_overrides(n_ris=0, h_uav=h_uav),
+                                  self.TRIALS)
             for n_ris in n_list:
-                _, gains = _per_point(
+                _, sinr = _per_point(
                     cfg.with_overrides(n_ris=n_ris, h_uav=h_uav),
                     self.TRIALS)
+                gains = ris_gain_db(sinr[:, 0], sinr0[:, 0])
                 expected.append({"n_ris": n_ris, "h_uav_m": h_uav,
                                  "mean_gain_db": float(np.mean(gains))})
         assert rows == expected
@@ -146,13 +154,17 @@ class TestSweepEquivalence:
                                        trials=self.TRIALS)
                   for h in (40.0, 200.0) for n in (0, 3, 8)
                   for k in (0.0, 0.1, 0.6)]
-        for cfg, res in zip(points, run_sweep(points), strict=True):
-            ref = [run_trial(cfg, i) for i in range(self.TRIALS)]
-            assert np.array_equal(res.rates_bps,
-                                  [r.rates_bps[0] for r in ref])
-            assert np.array_equal(res.sinr, [r.sinr[0] for r in ref])
-            gains = [r.ris_gain_db[0] for r in ref]
-            assert np.array_equal(res.ris_gain_db, gains, equal_nan=True)
+        results = dict(zip(points, run_sweep(points), strict=True))
+        refs = {cfg: _per_point(cfg, self.TRIALS) for cfg in points}
+        for cfg, res in results.items():
+            rates, sinr = refs[cfg]
+            assert np.array_equal(res.rates_bps, rates)
+            assert np.array_equal(res.sinr, sinr)
+            # the paired gain over the sweep's N = 0 point
+            zero = cfg.with_overrides(n_ris=0)
+            assert np.array_equal(
+                ris_gain_db(res.sinr[:, 0], results[zero].sinr[:, 0]),
+                ris_gain_db(sinr[:, 0], refs[zero][1][:, 0]), equal_nan=True)
 
     def test_ris_gain_pinned_values(self):
         rows = ris_gain_sweep(SMALL.with_overrides(trials=self.TRIALS),
@@ -162,18 +174,28 @@ class TestSweepEquivalence:
         for row, value in zip(rows, pinned, strict=True):
             assert row["mean_gain_db"] == pytest.approx(value, rel=1e-12)
 
-    def test_multi_point_sweep_same_at_two_workers(self):
+    def test_multi_point_sweep_same_at_two_workers(self, monkeypatch):
         scenarios = ((0.1, 15.0, False), (0.33, -5.0, False),
                      (0.1, 15.0, True))
         cfg = SMALL.with_overrides(trials=30)
+        # batches of 4 trials, so that two processes share the 30
+        monkeypatch.setattr(experiments, "BATCH_ELEMENTS",
+                            4 * SMALL_TRIAL_ELEMENTS)
+        procs, batches = _plan_chunks([cfg], 2)
+        assert len(batches) == 8 and procs == min(2, CPUS)
         serial = rate_cdf(cfg, scenarios=scenarios, workers=1)
         parallel = rate_cdf(cfg, scenarios=scenarios, workers=2)
         assert serial == parallel
 
 
 class TestWorkers:
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = SMALL.with_overrides(trials=24)
+        # batches of 4 trials, so that the pool gets more than one
+        monkeypatch.setattr(experiments, "BATCH_ELEMENTS",
+                            4 * SMALL_TRIAL_ELEMENTS)
+        procs, batches = _plan_chunks([cfg], 4)
+        assert len(batches) == 6 and procs == min(4, CPUS)
         serial = run_trials(cfg, workers=1)
         parallel = run_trials(cfg, workers=4)
         assert serial.rates_bps.shape[0] == parallel.rates_bps.shape[0] == 24
@@ -200,13 +222,30 @@ class TestWorkers:
 
     def test_pool_never_exceeds_cpus_or_chunks(self):
         # computed only: no pool is started
-        procs, chunks = _plan_chunks(2000, 10**6)
-        assert 1 <= procs <= len(os.sched_getaffinity(0))
-        assert [i for c in chunks for i in c] == list(range(2000))
-        procs, chunks = _plan_chunks(3, 8)
-        assert procs <= len(chunks) == 3
-        assert [i for c in chunks for i in c] == [0, 1, 2]
-        assert _plan_chunks(40, 1)[0] == 1
+        procs, batches = _plan_chunks([SMALL.with_overrides(trials=2000)],
+                                      10**6)
+        assert 1 <= procs <= CPUS
+        assert [i for b in batches for i in b] == list(range(2000))
+        procs, batches = _plan_chunks([SMALL.with_overrides(trials=3)], 8)
+        assert procs == len(batches) == 1
+        assert [i for b in batches for i in b] == [0, 1, 2]
+        assert _plan_chunks([SMALL], 1)[0] == 1
+
+    def test_batches_hold_at_most_the_element_budget(self):
+        # SMALL at N = 8: 16384 // 72 = 227 trials per batch; the largest
+        # RIS of the sweep sets the budget
+        points = [SMALL.with_overrides(trials=500, n_ris=n) for n in (0, 8)]
+        _, batches = _plan_chunks(points, 1)
+        assert [len(b) for b in batches] == [227, 227, 46]
+
+    def test_runs_without_sched_getaffinity(self, monkeypatch):
+        # the scheduler functions exist only on some Unix platforms; every
+        # sweep used to end in an AttributeError there
+        monkeypatch.delattr(os, "sched_getaffinity")
+        procs, _ = _plan_chunks([SMALL], 2)
+        assert 1 <= procs <= (os.cpu_count() or 1)
+        res = run_trials(SMALL.with_overrides(trials=3), workers=2)
+        assert res.rates_bps.shape == (3, SMALL.n_users)
 
 
 class TestLikelyRate95:
@@ -267,6 +306,11 @@ class TestRateRegion:
                         n_list=(4,))
         with pytest.raises(ConfigError, match="at least 20"):
             rate_region(SMALL.with_overrides(trials=5), n_list=(4,))
+
+    def test_zero_elements_rejected(self):
+        # an N = 0 system used to write "ris-n0" rows equal to the no-ris rows
+        with pytest.raises(ConfigError, match="n_ris >= 1"):
+            rate_region(SMALL.with_overrides(trials=20), n_list=(0, 4))
 
 
 class TestRateCdf:

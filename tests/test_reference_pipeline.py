@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cfris import (SimConfig, likely_rate_95, rate_cdf, rate_region,
-                   ris_gain_sweep)
+                   ris_gain_db, ris_gain_sweep)
 from cfris.experiments import run_sweep, scenario_label
 from reference_pipeline import reference_trial
 
@@ -26,18 +26,19 @@ def test_sweep_matches_reference_per_trial():
                                    tilt_deg=tilt)
               for h in (40.0, 300.0) for tilt in (15.0, -5.0)
               for n in (0, 3, 8) for kappa in (0.02, 0.3)]
-    for cfg, res in zip(points, run_sweep(points), strict=True):
+    results = dict(zip(points, run_sweep(points), strict=True))
+    for cfg, res in results.items():
         rates, sinr, gains = _reference(cfg)
         assert np.all(np.isfinite(res.rates_bps))
         assert np.all(np.isfinite(res.sinr))
         np.testing.assert_allclose(res.rates_bps, rates, rtol=RTOL, atol=0)
         np.testing.assert_allclose(res.sinr, sinr, rtol=RTOL, atol=0)
         if cfg.n_ris:
-            assert np.all(np.isfinite(res.ris_gain_db))
-            np.testing.assert_allclose(res.ris_gain_db, gains, rtol=0,
-                                       atol=1e-12)
-        else:
-            assert np.all(np.isnan(res.ris_gain_db))
+            # paired with the sweep's N = 0 point of the same realization
+            zero = results[cfg.with_overrides(n_ris=0)]
+            gain = ris_gain_db(res.sinr[:, 0], zero.sinr[:, 0])
+            assert np.all(np.isfinite(gain))
+            np.testing.assert_allclose(gain, gains, rtol=0, atol=1e-12)
 
 
 def test_rate_region_matches_reference():

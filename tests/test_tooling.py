@@ -1,8 +1,10 @@
 """The benchmark's tracer finds every cfris name it wraps and records the
-pipeline stages, its workloads still run through the CLI, and their CSVs
-still match the benchmark's references."""
+pipeline stages, in pool workers too; its workloads still run through the
+CLI, and their CSVs still match the benchmark's references."""
 import gzip
 import importlib
+import json
+import os
 import runpy
 from pathlib import Path
 
@@ -16,6 +18,8 @@ PERFBENCH = Path(__file__).parents[1] / "perfbench"
 CHILD = runpy.run_path(str(PERFBENCH / "child.py"))
 RUN = runpy.run_path(str(PERFBENCH / "run.py"))
 WORKLOADS = RUN["WORKLOADS"]
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 
 def _spec(args):
@@ -66,6 +70,30 @@ def test_workload_runs_traced(name, tmp_path):
     for stage in ("channel.large_scale", "link.sinr_all",
                   "beamforming.gamma_analytic"):
         assert summary["calls"].get(stage, 0) > 0, stage
+
+
+def test_pool_workers_ship_their_spans(tmp_path):
+    # 40 cdf-w2 trials at N = 20 make 2 batches, one per pool process;
+    # each worker appends its spans to a file that the tracer merges
+    if CPUS < 2:
+        pytest.skip("needs two usable CPUs for a pool of two")
+    _, spec = _spec([*WORKLOADS["cdf-w2"].args, "--trials", "40",
+                     "--workers", "2"])
+    tracer = CHILD["Tracer"](spans_dir=tmp_path)
+    tracer.install()
+    try:
+        cli.run(spec, tmp_path / "out", workers=2)
+    finally:
+        tracer.restore()
+    worker_spans = [span for path in tmp_path.glob("worker-*.jsonl")
+                    for line in path.read_text(encoding="utf-8").splitlines()
+                    for span in json.loads(line)["spans"]]
+    assert any(span[0] == "link.sinr_all" for span in worker_spans)
+    tracer.merge_worker_files()
+    summary = tracer.summary(2)
+    assert summary["missing"] == []
+    assert summary["calls"]["link.sinr_all"] == sum(
+        span[0] == "link.sinr_all" for span in worker_spans)
 
 
 @pytest.mark.parametrize("name, master, workers", [
