@@ -136,59 +136,119 @@ def _nonzero(d):
     return np.where(d > 0.0, d, 1.0)
 
 
-def large_scale(layout: NetworkLayout, cfg: SimConfig) -> LargeScaleParams:
-    """Evaluate every pathloss, antenna weight, Rician weight and LoS phase.
+@dataclass(frozen=True)
+class LinkGeometry:
+    """The part of large_scale that depends on neither the UAV nor the tilt.
 
-    A stacked layout gives stacked parameters, each entry bit-identical to
-    the parameters of its own layout.
+    Shapes after the layout's leading batch axes (...): M APs, U GUEs and
+    N RIS elements, where N bounds the RIS sizes it can serve.
     """
-    users = layout.user_pos                      # (..., K, 3), UAV first
-    ap = layout.ap_pos                           # (..., M, 3)
-    ris = layout.ris_pos
-    lam = cfg.wavelength_m
 
+    theta_gue: np.ndarray       # (..., M, U) AP->GUE elevations, degrees
+    hata_db_gue: np.ndarray     # (..., M, U) AP->GUE Hata gains
+    los_direct_gue: np.ndarray  # (..., M, U) weighted unit LoS phasors
+    nlos_direct_gue: np.ndarray  # (..., M, U) scatter weights
+    theta_ris: np.ndarray       # (..., M) AP->RIS elevations, degrees
+    pl_ap_ris: np.ndarray       # (..., M) AP->RIS d^-alpha gains
+    a_ap_ris: np.ndarray        # (..., M, N) unit AP->RIS array responses
+    beta_ris_gue: np.ndarray    # (..., U) RIS->GUE amplitudes
+    los_ris_gue: np.ndarray     # (..., N, U) weighted unit array responses
+    nlos_ris_gue: np.ndarray    # (..., U) scatter weights
+
+
+def _direct_links(ap, users, lam):
+    """Distances, elevations and Rician LoS parts of AP -> user links."""
     delta = users[..., None, :, :] - ap[..., :, None, :]
     d_h = np.hypot(delta[..., 0], delta[..., 1])
     d_3d = np.sqrt(d_h ** 2 + delta[..., 2] ** 2)
     theta = np.degrees(np.arctan2(ap[..., :, None, 2]
                                   - users[..., None, :, 2], d_h))
-    gain_db = antenna_gain_db(theta, cfg.tilt_deg)
+    los_w, nlos = _rician_weights(rician_k_linear(d_3d))
+    return d_3d, theta, los_w * np.exp(-1j * 2.0 * np.pi * d_3d / lam), nlos
 
-    zeta = np.empty_like(d_3d)
-    zeta[..., 0] = 10.0 ** (gain_db[..., 0] / 10.0) \
-        * pathloss_simple_linear(d_3d[..., 0], cfg)
-    zeta[..., 1:] = 10.0 ** ((gain_db[..., 1:]
-                              + pathloss_gue_db(d_3d[..., 1:], cfg)) / 10.0)
-    los_w, nlos_direct = _rician_weights(rician_k_linear(d_3d))
-    los_direct = los_w * np.exp(-1j * 2.0 * np.pi * d_3d / lam)
+
+def _ris_user_links(ris, users, n_elems, lam):
+    """Distances, Rician weights and (..., N, K') array responses of RIS ->
+    user links."""
+    from_ris = users - ris
+    d = np.sqrt(np.sum(from_ris ** 2, axis=-1))
+    los_w, nlos = _rician_weights(rician_k_linear(d))
+    a = np.swapaxes(array_response(
+        n_elems, from_ris / _nonzero(d)[..., None], d, lam), -1, -2)
+    return d, los_w, nlos, a
+
+
+def link_geometry(layout: NetworkLayout, cfg: SimConfig) -> LinkGeometry:
+    """Every large-scale term of a layout that depends on neither the UAV
+    position nor the antenna tilt, at cfg.n_ris elements."""
+    ap, ris, lam = layout.ap_pos, layout.ris_pos, cfg.wavelength_m
+    d_gue, theta_gue, los_direct_gue, nlos_direct_gue = _direct_links(
+        ap, layout.gue_pos, lam)
 
     # AP -> RIS (deterministic LoS, antenna-weighted d^-alpha law)
     to_ris = ris - ap
     d_h_ris = np.hypot(to_ris[..., 0], to_ris[..., 1])
     d_ap_ris = np.sqrt(d_h_ris ** 2 + to_ris[..., 2] ** 2)
-    theta_ris = np.degrees(np.arctan2(ap[..., 2] - ris[2], d_h_ris))
-    beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(theta_ris,
-                                                   cfg.tilt_deg) / 10.0)
-                          * pathloss_simple_linear(d_ap_ris, cfg))
-    H_ris = beta_ap_ris[..., None] * array_response(
-        cfg.n_ris, (ap - ris) / _nonzero(d_ap_ris)[..., None], d_ap_ris,
-        lam)
+    a_ap_ris = array_response(
+        cfg.n_ris, (ap - ris) / _nonzero(d_ap_ris)[..., None], d_ap_ris, lam)
 
-    # RIS -> user legs; the UAV leg is pure LoS
-    from_ris = users - ris
-    d_ris_user = np.sqrt(np.sum(from_ris ** 2, axis=-1))
-    los_ru, nlos_ris_user = _rician_weights(rician_k_linear(d_ris_user))
-    los_ru[..., 0], nlos_ris_user[..., 0] = 1.0, 0.0
-    a_ris_user = np.swapaxes(array_response(
-        cfg.n_ris, from_ris / _nonzero(d_ris_user)[..., None], d_ris_user,
-        lam), -1, -2)
+    d_ris_gue, los_w, nlos_ris_gue, a_ris_gue = _ris_user_links(
+        ris, layout.gue_pos, cfg.n_ris, lam)
+    return LinkGeometry(
+        theta_gue=theta_gue, hata_db_gue=pathloss_gue_db(d_gue, cfg),
+        los_direct_gue=los_direct_gue, nlos_direct_gue=nlos_direct_gue,
+        theta_ris=np.degrees(np.arctan2(ap[..., 2] - ris[2], d_h_ris)),
+        pl_ap_ris=pathloss_simple_linear(d_ap_ris, cfg), a_ap_ris=a_ap_ris,
+        beta_ris_gue=np.sqrt(pathloss_simple_linear(d_ris_gue, cfg)),
+        los_ris_gue=los_w[..., None, :] * a_ris_gue,
+        nlos_ris_gue=nlos_ris_gue)
 
+
+def _uav_first(uav, gue):
+    """(..., K) columns: the UAV's (..., 1), then the GUEs' (..., U)."""
+    return np.concatenate([uav, gue], axis=-1)
+
+
+def large_scale(layout: NetworkLayout, cfg: SimConfig,
+                geometry: LinkGeometry | None = None) -> LargeScaleParams:
+    """Evaluate every pathloss, antenna weight, Rician weight and LoS phase.
+
+    ``geometry`` is ``link_geometry`` of a layout with the same APs and
+    GUEs at cfg.n_ris or more elements; None computes it here.  Only the
+    UAV's links and the tilt-dependent antenna gains are then evaluated,
+    so layouts that differ only in the UAV height, and configs that
+    differ only in the tilt, share one geometry.  A stacked layout gives
+    stacked parameters, each entry bit-identical to the parameters of its
+    own layout.
+    """
+    n_ris, tilt, lam = cfg.n_ris, cfg.tilt_deg, cfg.wavelength_m
+    geo = link_geometry(layout, cfg) if geometry is None else geometry
+    uav = layout.uav_pos[..., None, :]           # (..., 1, 3)
+
+    d_uav, theta_uav, los_direct_uav, nlos_direct_uav = _direct_links(
+        layout.ap_pos, uav, lam)
+    zeta = _uav_first(
+        10.0 ** (antenna_gain_db(theta_uav, tilt) / 10.0)
+        * pathloss_simple_linear(d_uav, cfg),
+        10.0 ** ((antenna_gain_db(geo.theta_gue, tilt) + geo.hata_db_gue)
+                 / 10.0))
+    beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(geo.theta_ris, tilt)
+                                   / 10.0) * geo.pl_ap_ris)
+
+    # the RIS -> UAV leg is pure LoS: los weight 1, scatter weight 0
+    d_ris_uav, _, _, a_ris_uav = _ris_user_links(
+        layout.ris_pos, uav, n_ris, lam)
     return LargeScaleParams(
-        beta_direct=np.sqrt(zeta), los_direct=los_direct,
-        nlos_direct=nlos_direct, H_ris=H_ris,
-        beta_ris_user=np.sqrt(pathloss_simple_linear(d_ris_user, cfg)),
-        los_ris_user=los_ru[..., None, :] * a_ris_user,
-        nlos_ris_user=nlos_ris_user)
+        beta_direct=np.sqrt(zeta),
+        los_direct=_uav_first(los_direct_uav, geo.los_direct_gue),
+        nlos_direct=_uav_first(nlos_direct_uav, geo.nlos_direct_gue),
+        H_ris=beta_ap_ris[..., None] * geo.a_ap_ris[..., :n_ris],
+        beta_ris_user=_uav_first(
+            np.sqrt(pathloss_simple_linear(d_ris_uav, cfg)),
+            geo.beta_ris_gue),
+        los_ris_user=_uav_first(a_ris_uav, geo.los_ris_gue[..., :n_ris, :]),
+        nlos_ris_user=_uav_first(np.zeros_like(d_ris_uav),
+                                 geo.nlos_ris_gue))
 
 
 @dataclass(frozen=True)
@@ -202,14 +262,19 @@ class ChannelSet:
     h_ris_user: np.ndarray  # (..., N, K), column 0 deterministic
 
 
-def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_normals(rng, shape) -> np.ndarray:
     """Unit-variance circularly symmetric Gaussians, re/im interleaved.
 
     Interleaving makes the draws for a leading-dimension prefix independent
     of the full size, so RIS systems of different element counts share
-    common random numbers for their common elements.
+    common random numbers for their common elements.  ``rng`` is a
+    Generator, or the standard normals drawn beforehand: one row of
+    2 prod(shape) per draw, after any leading batch axes.
     """
-    z = rng.standard_normal(tuple(shape) + (2,))
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal(tuple(shape) + (2,))
+    else:
+        z = rng.reshape(rng.shape[:-1] + tuple(shape) + (2,))
     return (z[..., 0] + 1j * z[..., 1]) * math.sqrt(0.5)
 
 

@@ -18,15 +18,20 @@ n_ris, kappa, h_uav and tilt_deg.  Trial index t of every point uses the
 same substream, which is drawn once per study: the node positions, then
 the unit scatter of the direct links, then that of the RIS->user links at
 the study's largest element count (the draws of a smaller RIS are a
-prefix of those of a larger one).  Each (UAV height, tilt) pair sets the
-UAV height in that draw and runs its own large-scale pass; every (RIS
-size, kappa) point of the pair is then evaluated on the same channels,
-kappa entering only the power split and the SINR.  The engine evaluates
-only the points it is given; ris_gain_sweep adds the zero-element point
-that pairs each RIS gain.  The unit of work is a batch of consecutive
-trial indices, drawn and evaluated as stacked arrays, each entry
-bit-identical to its own trial's; a study runs its batches in turn, or
-maps them over one process pool when it has more than one worker.
+prefix of those of a larger one).  The unit of work is a batch of
+consecutive trial indices, drawn and evaluated as stacked arrays, each
+entry bit-identical to its own trial's.  A batch draws each trial in two
+calls on its substream, one for all coordinates and one for all scatter,
+into one row of two buffers, and computes once every large-scale term
+that depends on neither the UAV height nor the tilt (link_geometry).
+The points are grouped by (UAV height, tilt) once per study; each group
+sets the UAV height in the batch's draw and computes only the UAV's
+links and the tilt's antenna gains, and every (RIS size, kappa) point of
+the group is then evaluated on the same channels, kappa entering only the
+power split and the SINR.  The engine evaluates only the points it is
+given; ris_gain_sweep adds the zero-element point that pairs each RIS
+gain.  A study runs its batches in turn, or maps them over one process
+pool when it has more than one worker.
 """
 from __future__ import annotations
 
@@ -38,8 +43,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .beamforming import gamma_analytic, ppa_allocate, ris_align_uav
-from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
-                      complex_normals, draw_channels, large_scale)
+from .channel import (ChannelSet, LargeScaleParams, LinkGeometry,
+                      aggregate_channel, complex_normals, draw_channels,
+                      large_scale, link_geometry)
 from .geometry import (FIELD_TYPES, ConfigError, NetworkLayout, SimConfig,
                        place_nodes)
 from .link import rate_bps, ris_gain_db, sinr_all
@@ -124,29 +130,30 @@ def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, gamma: np.ndarray,
 def _draw(cfg: SimConfig, trial_indices):
     """Stacked layouts and unit scatter of trials, at cfg.n_ris elements.
 
-    Each trial consumes its substream as a single trial does: the node
-    positions, then the direct scatter, then the RIS->user scatter.
+    Each trial fills its row of two buffers from its substream, in two
+    calls that consume it as a single trial does: the node positions,
+    then the direct scatter and the RIS->user scatter.
     """
-    layouts, z_direct, z_ris_user = [], [], []
-    for trial_index in trial_indices:
+    m, n, k = cfg.m_ap, cfg.n_ris, cfg.n_users
+    uniforms = np.empty((len(trial_indices), 2 * (m + k)))
+    normals = np.empty((len(trial_indices), (m + n) * k * 2))
+    for row, trial_index in enumerate(trial_indices):
         rng = trial_rng(cfg.master_seed, trial_index)
-        layouts.append(place_nodes(cfg, rng))
-        z_direct.append(complex_normals(rng, (cfg.m_ap, cfg.n_users)))
-        z_ris_user.append(complex_normals(rng, (cfg.n_ris, cfg.n_users)))
-    layout = NetworkLayout(
-        ap_pos=np.stack([lay.ap_pos for lay in layouts]),
-        gue_pos=np.stack([lay.gue_pos for lay in layouts]),
-        uav_pos=np.stack([lay.uav_pos for lay in layouts]),
-        ris_pos=layouts[0].ris_pos)
-    return layout, (np.stack(z_direct), np.stack(z_ris_user))
+        rng.random(out=uniforms[row])
+        rng.standard_normal(out=normals[row])
+    direct = 2 * m * k
+    return place_nodes(cfg, uniforms), (
+        complex_normals(normals[:, :direct], (m, k)),
+        complex_normals(normals[:, direct:], (n, k)))
 
 
-def _channels(cfg: SimConfig, layout: NetworkLayout, scatter):
+def _channels(cfg: SimConfig, layout: NetworkLayout, geometry: LinkGeometry,
+              scatter):
     """Large-scale parameters and channels of a drawn batch at cfg's UAV
     height, tilt and first cfg.n_ris elements."""
     uav_pos = layout.uav_pos.copy()
     uav_pos[..., 2] = cfg.h_uav
-    ls = large_scale(replace(layout, uav_pos=uav_pos), cfg)
+    ls = large_scale(replace(layout, uav_pos=uav_pos), cfg, geometry)
     z_direct, z_ris_user = scatter
     return ls, draw_channels(ls, (z_direct,
                                   z_ris_user[..., :cfg.n_ris, :]))
@@ -210,16 +217,18 @@ def _groups(points):
 
 
 def _run_chunk(args) -> list[PointResults]:
-    """Draw one batch of trial indices and evaluate every sweep point on
-    it; row t of each result is the batch's t-th trial."""
-    points, batch = args
-    layout, scatter = _draw(max(points, key=lambda p: p.n_ris), batch)
-    results = [None] * len(points)
-    for cfg, evals, group in _groups(points):
-        ls, cs = _channels(cfg, layout, scatter)
+    """Draw one batch of trial indices and evaluate every sweep group on
+    it; row t of each point's result is the batch's t-th trial."""
+    groups, batch = args
+    widest = max((group[0] for group in groups), key=lambda c: c.n_ris)
+    layout, scatter = _draw(widest, batch)
+    geometry = link_geometry(layout, widest)
+    results = [None] * sum(len(group[2]) for group in groups)
+    for cfg, evals, members in groups:
+        ls, cs = _channels(cfg, layout, geometry, scatter)
         out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
                for n_ris, kappas in evals.items()}
-        for j, n_ris, kappa in group:
+        for j, n_ris, kappa in members:
             results[j] = out[n_ris][kappa]
     return results
 
@@ -260,7 +269,8 @@ def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
             raise ConfigError(f"{field}: sweep points may differ only in "
                               f"{', '.join(PER_POINT_FIELDS)}")
     procs, batches = _plan_chunks(points, workers)
-    tasks = [(points, batch) for batch in batches]
+    groups = _groups(points)
+    tasks = [(groups, batch) for batch in batches]
     if procs == 1:
         parts = [_run_chunk(task) for task in tasks]
     else:
@@ -279,7 +289,7 @@ def run_trial(cfg: SimConfig, trial_index: int) -> PointResults:
     by name; the studies call run_sweep.  Raises SimulationError when the
     drawn geometry is degenerate.
     """
-    (res,) = _run_chunk(([cfg], (trial_index,)))
+    (res,) = _run_chunk((_groups([cfg]), (trial_index,)))
     return res
 
 

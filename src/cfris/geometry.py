@@ -54,12 +54,15 @@ class SimConfig:
     alpha: float = 2.4
     master_seed: int = 1
     trials: int = 2000
+    # not a field: set when ris_x is derived from area_side
+    _ris_x_derived = False
 
     def __post_init__(self):
         for key, kind in FIELD_TYPES.items():
             if key == "ris_x" and self.ris_x is None:
                 # D/2; area_side, an earlier field, is checked by now
                 object.__setattr__(self, "ris_x", self.area_side / 2.0)
+                object.__setattr__(self, "_ris_x_derived", True)
             value = getattr(self, key)
             abc, noun = _NUMBERS[kind]
             # a numpy integer is an Integral, and so is a bool
@@ -99,6 +102,9 @@ class SimConfig:
         return 10.0 ** ((self.noise_power_dbm - 30.0) / 10.0)
 
     def with_overrides(self, **kw) -> "SimConfig":
+        # a derived ris_x follows a new area_side; a given one is kept
+        if self._ris_x_derived:
+            kw.setdefault("ris_x", None)
         return replace(self, **kw)
 
 
@@ -142,19 +148,30 @@ class NetworkLayout:
                               axis=-2)
 
 
-def place_nodes(cfg: SimConfig, rng: np.random.Generator) -> NetworkLayout:
+def place_nodes(cfg: SimConfig, rng) -> NetworkLayout:
     """Draw AP/GUE/UAV horizontal positions uniformly on [0, D]^2.
 
-    Heights are fixed by the configuration; the RIS sits at
-    (ris_x, 0, h_ris).  Deterministic given the generator state.
+    ``rng`` is a Generator, or the unit uniforms drawn beforehand: 2 (M +
+    U + 1) per layout, the x, y pairs of the APs, then of the GUEs, then
+    of the UAV, after any leading batch axes, which give a stack of
+    layouts.  From a Generator they are drawn in one call, which consumes
+    the stream as per-node-group ``uniform(0, D)`` calls would; D u equals
+    ``uniform(0, D)`` bit for bit.  Heights are fixed by the configuration;
+    the RIS sits at (ris_x, 0, h_ris).
     """
-    d = cfg.area_side
-    ap_xy = rng.uniform(0.0, d, size=(cfg.m_ap, 2))
-    gue_xy = rng.uniform(0.0, d, size=(cfg.n_gue, 2))
-    uav_xy = rng.uniform(0.0, d, size=2)
-    ap_pos = np.column_stack([ap_xy, np.full(cfg.m_ap, cfg.h_ap)])
-    gue_pos = np.column_stack([gue_xy, np.full(cfg.n_gue, cfg.h_gue)])
-    uav_pos = np.array([uav_xy[0], uav_xy[1], cfg.h_uav])
-    ris_pos = np.array([cfg.ris_x, 0.0, cfg.h_ris])
-    return NetworkLayout(ap_pos=ap_pos, gue_pos=gue_pos,
-                         uav_pos=uav_pos, ris_pos=ris_pos)
+    m, u = cfg.m_ap, cfg.n_gue
+    if isinstance(rng, np.random.Generator):
+        rng = rng.random(2 * (m + u + 1))
+    xy = cfg.area_side * np.asarray(rng, dtype=float)
+    xy = xy.reshape(xy.shape[:-1] + (m + u + 1, 2))
+
+    def nodes(node_xy, height):
+        pos = np.empty(node_xy.shape[:-1] + (3,))
+        pos[..., :2] = node_xy
+        pos[..., 2] = height
+        return pos
+
+    return NetworkLayout(ap_pos=nodes(xy[..., :m, :], cfg.h_ap),
+                         gue_pos=nodes(xy[..., m:m + u, :], cfg.h_gue),
+                         uav_pos=nodes(xy[..., m + u, :], cfg.h_uav),
+                         ris_pos=np.array([cfg.ris_x, 0.0, cfg.h_ris]))

@@ -1,6 +1,7 @@
 """Batched evaluation: every stage function on stacked realizations gives
 exactly its per-realization results, and the batch size of a sweep never
 changes a bit of its output."""
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from cfris import (ConfigError, NetworkLayout, SimConfig, aggregate_channel,
                    ppa_allocate, rate_bps, ris_align_uav, ris_gain_db,
                    sinr_all)
 from cfris import experiments
-from cfris.channel import complex_normals
+from cfris.channel import complex_normals, link_geometry
 from cfris.experiments import _sanity_check_rates, run_sweep
 
 CFG = SimConfig(m_ap=6, n_gue=3, n_ris=8, kappa=0.2, master_seed=5,
@@ -111,6 +112,49 @@ def test_draw_from_a_generator_matches_the_scatter_pair():
     _assert_same(draw_channels(ls, rng), draw_channels(ls, z))
 
 
+@pytest.mark.parametrize("cfg", [CFG.with_overrides(n_ris=0), CFG,
+                                 CFG.with_overrides(n_gue=1)],
+                         ids=["n0", "n8", "u1"])
+def test_batch_draw_matches_per_trial_draws(cfg):
+    trials = range(3, 3 + T)
+    layout, (z_direct, z_ris_user) = experiments._draw(cfg, trials)
+    for row, t in enumerate(trials):
+        rng = experiments.trial_rng(cfg.master_seed, t)
+        single = place_nodes(cfg, rng)
+        for f in ("ap_pos", "gue_pos", "uav_pos"):
+            assert np.array_equal(getattr(layout, f)[row],
+                                  getattr(single, f)), f
+        assert np.array_equal(layout.ris_pos, single.ris_pos)
+        assert np.array_equal(z_direct[row], complex_normals(
+            rng, (cfg.m_ap, cfg.n_users)))
+        assert np.array_equal(z_ris_user[row], complex_normals(
+            rng, (cfg.n_ris, cfg.n_users)))
+        # the stream is consumed as by one uniform(0, D) call per node
+        # group: the APs, the GUEs, then the UAV
+        rng = experiments.trial_rng(cfg.master_seed, t)
+        d = cfg.area_side
+        assert np.array_equal(single.ap_pos[:, :2],
+                              rng.uniform(0.0, d, (cfg.m_ap, 2)))
+        assert np.array_equal(single.gue_pos[:, :2],
+                              rng.uniform(0.0, d, (cfg.n_gue, 2)))
+        assert np.array_equal(single.uav_pos[:2], rng.uniform(0.0, d, 2))
+
+
+@pytest.mark.parametrize("tilt", [15.0, -5.0])
+@pytest.mark.parametrize("h_uav", [0.0, CFG.h_ris, 300.0])
+@pytest.mark.parametrize("n_ris", [CFG.n_ris, 3, 0])
+def test_group_pass_matches_large_scale(h_uav, tilt, n_ris):
+    # one geometry at the largest RIS serves every (height, tilt) group,
+    # and a group without RIS under it, as in cdf's sweep
+    layout, scatter = experiments._draw(CFG, range(T))
+    geometry = link_geometry(layout, CFG)
+    cfg = CFG.with_overrides(h_uav=h_uav, tilt_deg=tilt, n_ris=n_ris)
+    ls, _ = experiments._channels(cfg, layout, geometry, scatter)
+    uav_pos = layout.uav_pos.copy()
+    uav_pos[:, 2] = h_uav
+    _assert_same(ls, large_scale(replace(layout, uav_pos=uav_pos), cfg))
+
+
 def test_gain_matches_per_trial_calls():
     with_ris = np.array([2.0, 1.0, 0.0, 3.0, 0.5])
     without = np.array([1.0, 0.0, 1.0, 3.0, -1.0])
@@ -194,6 +238,29 @@ def test_default_batch_holds_the_whole_chunk(batch_sizes):
     run_sweep(POINTS)
     # 25 trials fit one batch, drawn once and shared by every point
     assert batch_sizes == [25]
+
+
+def test_groups_are_formed_once_per_sweep(monkeypatch):
+    calls = Counter()
+    groups, with_overrides = experiments._groups, SimConfig.with_overrides
+
+    def counting_groups(points):
+        calls["_groups"] += 1
+        return groups(points)
+
+    def counting_with_overrides(self, **kw):
+        calls["with_overrides"] += 1
+        return with_overrides(self, **kw)
+
+    monkeypatch.setattr(experiments, "_groups", counting_groups)
+    monkeypatch.setattr(SimConfig, "with_overrides", counting_with_overrides)
+    run_sweep(POINTS)
+    one_batch = dict(calls)
+    calls.clear()
+    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", 1)   # 25 batches
+    run_sweep(POINTS)
+    assert calls == one_batch
+    assert one_batch == {"_groups": 1, "with_overrides": 2}
 
 
 @pytest.mark.parametrize("field, value", [("m_ap", 7), ("master_seed", 12),

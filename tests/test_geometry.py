@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ class TestSimConfig:
                         kappa=np.float32(0.25), area_side=40)
         assert (cfg.m_ap, cfg.n_ris, cfg.kappa) == (4, 3, 0.25)
         assert cfg.ris_x == 20.0
+
+
+    def test_derived_ris_x_follows_area_side(self):
+        cfg = SimConfig()
+        assert cfg.with_overrides(area_side=10.0).ris_x == 5.0
+        assert cfg.with_overrides(area_side=100.0).ris_x == 50.0
+        # so does a pickled one, as pool workers receive it
+        assert pickle.loads(pickle.dumps(cfg)).with_overrides(
+            area_side=100.0).ris_x == 50.0
+
+    def test_given_ris_x_is_kept(self):
+        cfg = SimConfig(ris_x=5.0)
+        assert cfg.with_overrides(area_side=100.0).ris_x == 5.0
+        assert cfg.with_overrides(ris_x=None).ris_x == 20.0
+        with pytest.raises(ConfigError, match="ris_x"):
+            SimConfig(ris_x=30.0).with_overrides(area_side=10.0)
 
 
 class TestPlaceNodes:

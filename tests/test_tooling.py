@@ -67,8 +67,8 @@ def test_workload_runs_traced(name, tmp_path):
         tracer.restore()
     summary = tracer.summary(1)
     assert summary["missing"] == []
-    for stage in ("channel.large_scale", "link.sinr_all",
-                  "beamforming.gamma_analytic"):
+    for stage in ("geometry.place_nodes", "channel.large_scale",
+                  "link.sinr_all", "beamforming.gamma_analytic"):
         assert summary["calls"].get(stage, 0) > 0, stage
 
 
