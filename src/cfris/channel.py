@@ -106,7 +106,8 @@ class LargeScaleParams:
     """Deterministic per-link quantities for one layout, or a stack of them.
 
     Shapes: M APs, K = U + 1 users (column 0 = UAV), N RIS elements, after
-    the layout's leading batch axes (...).
+    the layout's leading batch axes (...); ``H_ris`` has only the axes
+    of the APs, which the UAV position may extend.
     Each Rician link h = beta * (los + nlos * z), z unit complex normal,
     is stored as its amplitude beta, its complex LoS part los (the weight
     sqrt(K/(K+1)) times the LoS phasor or array response) and its real
@@ -205,8 +206,16 @@ def link_geometry(layout: NetworkLayout, cfg: SimConfig) -> LinkGeometry:
 
 
 def _uav_first(uav, gue):
-    """(..., K) columns: the UAV's (..., 1), then the GUEs' (..., U)."""
-    return np.concatenate([uav, gue], axis=-1)
+    """(..., K) columns: the UAV's (..., 1), then the GUEs' (..., U).
+
+    The UAV's leading axes (...) may extend the GUEs' (say, by one UAV
+    height per row); the GUE columns are then broadcast over them.
+    """
+    out = np.empty(uav.shape[:-1] + (1 + gue.shape[-1],),
+                   dtype=np.promote_types(uav.dtype, gue.dtype))
+    out[..., :1] = uav
+    out[..., 1:] = gue
+    return out
 
 
 def large_scale(layout: NetworkLayout, cfg: SimConfig,
@@ -219,7 +228,9 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig,
     so layouts that differ only in the UAV height, and configs that
     differ only in the tilt, share one geometry.  A stacked layout gives
     stacked parameters, each entry bit-identical to the parameters of its
-    own layout.
+    own layout.  The UAV position may carry more leading axes than the
+    APs and GUEs (say, one UAV height per row): only the fields that
+    depend on the UAV carry them, and ``H_ris`` is computed once for all.
     """
     n_ris, tilt, lam = cfg.n_ris, cfg.tilt_deg, cfg.wavelength_m
     geo = link_geometry(layout, cfg) if geometry is None else geometry

@@ -24,14 +24,17 @@ entry bit-identical to its own trial's.  A batch draws each trial in two
 calls on its substream, one for all coordinates and one for all scatter,
 into one row of two buffers, and computes once every large-scale term
 that depends on neither the UAV height nor the tilt (link_geometry).
-The points are grouped by (UAV height, tilt) once per study; each group
-sets the UAV height in the batch's draw and computes only the UAV's
-links and the tilt's antenna gains, and every (RIS size, kappa) point of
-the group is then evaluated on the same channels, kappa entering only the
-power split and the SINR.  The engine evaluates only the points it is
-given; ris_gain_sweep adds the zero-element point that pairs each RIS
-gain.  A study runs its batches in turn, or maps them over one process
-pool when it has more than one worker.
+The points are grouped by tilt once per study.  A group's distinct UAV
+heights are one more leading axis, before the trial axis, that only the
+terms of the UAV carry: each group computes the UAV's links at all its
+heights and the tilt's antenna gains once (H_ris and the GUE gains have
+no height axis), so its stage arrays hold its height count times the
+batch's trials.  Every (RIS size, kappa) point of the group is then
+evaluated on the same channels at every height of the group, kappa
+entering only the power split and the SINR.  The engine evaluates only
+the points it is given; ris_gain_sweep adds the zero-element point that
+pairs each RIS gain.  A study runs its batches in turn, or maps them
+over one process pool when it has more than one worker.
 """
 from __future__ import annotations
 
@@ -43,11 +46,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .beamforming import gamma_analytic, ppa_allocate, ris_align_uav
-from .channel import (ChannelSet, LargeScaleParams, LinkGeometry,
-                      aggregate_channel, complex_normals, draw_channels,
-                      large_scale, link_geometry)
-from .geometry import (FIELD_TYPES, ConfigError, NetworkLayout, SimConfig,
-                       place_nodes)
+from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
+                      complex_normals, draw_channels, large_scale,
+                      link_geometry)
+from .geometry import FIELD_TYPES, ConfigError, SimConfig, place_nodes
 from .link import rate_bps, ris_gain_db, sinr_all
 
 DEFAULT_KAPPAS = (0.02, 0.05, 0.1, 0.15)
@@ -147,18 +149,6 @@ def _draw(cfg: SimConfig, trial_indices):
         complex_normals(normals[:, direct:], (n, k)))
 
 
-def _channels(cfg: SimConfig, layout: NetworkLayout, geometry: LinkGeometry,
-              scatter):
-    """Large-scale parameters and channels of a drawn batch at cfg's UAV
-    height, tilt and first cfg.n_ris elements."""
-    uav_pos = layout.uav_pos.copy()
-    uav_pos[..., 2] = cfg.h_uav
-    ls = large_scale(replace(layout, uav_pos=uav_pos), cfg, geometry)
-    z_direct, z_ris_user = scatter
-    return ls, draw_channels(ls, (z_direct,
-                                  z_ris_user[..., :cfg.n_ris, :]))
-
-
 class PointResults(NamedTuple):
     """Every trial of one sweep point; row t holds trial index t."""
 
@@ -196,40 +186,51 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
 def _groups(points):
     """Sweep points that share a large-scale pass, in order of appearance.
 
-    Points at one (h_uav, tilt_deg) differ only in n_ris and kappa, so
-    they share one set of channels, formed at their largest n_ris.  Each
-    group is (its config, the kappas to evaluate per n_ris, [(point
-    index, n_ris, kappa)]).
+    Points at one tilt_deg differ only in h_uav, n_ris and kappa, so they
+    share one pass over their distinct UAV heights, formed at their
+    largest n_ris.  Each group is (its config, its heights as an array,
+    the kappas to evaluate per n_ris, [(point index, height index, n_ris,
+    kappa)]); every (n_ris, kappa) is evaluated at every height.
     """
     members = {}
     for j, p in enumerate(points):
-        members.setdefault((p.h_uav, p.tilt_deg), []).append(
-            (j, p.n_ris, p.kappa))
+        members.setdefault(p.tilt_deg, []).append(j)
     groups = []
     for group in members.values():
-        evals = {}
-        for _, n_ris, kappa in group:
-            evals.setdefault(n_ris, set()).add(kappa)
-        cfg = points[group[0][0]].with_overrides(n_ris=max(evals))
-        groups.append((cfg, {n: sorted(k) for n, k in evals.items()},
-                       group))
+        heights, evals, rows = {}, {}, []
+        for j in group:
+            p = points[j]
+            evals.setdefault(p.n_ris, set()).add(p.kappa)
+            rows.append((j, heights.setdefault(p.h_uav, len(heights)),
+                         p.n_ris, p.kappa))
+        cfg = points[group[0]].with_overrides(n_ris=max(evals))
+        groups.append((cfg, np.array(list(heights)),
+                       {n: sorted(k) for n, k in evals.items()}, rows))
     return groups
 
 
 def _run_chunk(args) -> list[PointResults]:
     """Draw one batch of trial indices and evaluate every sweep group on
-    it; row t of each point's result is the batch's t-th trial."""
+    it; row t of each point's result is the batch's t-th trial.
+
+    A group's UAV heights are one more leading axis, before the batch's
+    trial axis, that only the UAV's terms carry.
+    """
     groups, batch = args
     widest = max((group[0] for group in groups), key=lambda c: c.n_ris)
-    layout, scatter = _draw(widest, batch)
+    layout, (z_direct, z_ris_user) = _draw(widest, batch)
     geometry = link_geometry(layout, widest)
-    results = [None] * sum(len(group[2]) for group in groups)
-    for cfg, evals, members in groups:
-        ls, cs = _channels(cfg, layout, geometry, scatter)
+    results = [None] * sum(len(group[3]) for group in groups)
+    for cfg, heights, evals, members in groups:
+        uav_pos = np.empty(heights.shape + layout.uav_pos.shape)
+        uav_pos[...] = layout.uav_pos
+        uav_pos[..., 2] = heights[:, None]
+        ls = large_scale(replace(layout, uav_pos=uav_pos), cfg, geometry)
+        cs = draw_channels(ls, (z_direct, z_ris_user[..., :cfg.n_ris, :]))
         out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
                for n_ris, kappas in evals.items()}
-        for j, n_ris, kappa in members:
-            results[j] = out[n_ris][kappa]
+        for j, h, n_ris, kappa in members:
+            results[j] = PointResults(*(a[h] for a in out[n_ris][kappa]))
     return results
 
 

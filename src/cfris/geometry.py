@@ -65,8 +65,10 @@ class SimConfig:
                 object.__setattr__(self, "_ris_x_derived", True)
             value = getattr(self, key)
             abc, noun = _NUMBERS[kind]
-            # a numpy integer is an Integral, and so is a bool
-            _check(isinstance(value, abc) and not isinstance(value, bool)
+            # a numpy integer is an Integral, and so is a bool; the exact
+            # type skips the slow ABC check
+            _check((type(value) is kind or isinstance(value, abc)
+                    and not isinstance(value, bool))
                    and (kind is int or _finite(value)), key,
                    f"must be {noun}")
             # every int field has a lower bound below; master_seed has its

@@ -140,19 +140,38 @@ def test_batch_draw_matches_per_trial_draws(cfg):
         assert np.array_equal(single.uav_pos[:2], rng.uniform(0.0, d, 2))
 
 
+def _moved(layout, heights):
+    """The layout with its UAV at heights, of shape (...): uav_pos
+    (..., T, 3)."""
+    heights = np.asarray(heights)
+    uav_pos = np.empty(heights.shape + layout.uav_pos.shape)
+    uav_pos[...] = layout.uav_pos
+    uav_pos[..., 2] = heights[..., None]
+    return replace(layout, uav_pos=uav_pos)
+
+
+HEIGHTS = (0.0, CFG.h_ris, 300.0)
+
+
 @pytest.mark.parametrize("tilt", [15.0, -5.0])
-@pytest.mark.parametrize("h_uav", [0.0, CFG.h_ris, 300.0])
+@pytest.mark.parametrize("h_uav", HEIGHTS)
 @pytest.mark.parametrize("n_ris", [CFG.n_ris, 3, 0])
 def test_group_pass_matches_large_scale(h_uav, tilt, n_ris):
-    # one geometry at the largest RIS serves every (height, tilt) group,
-    # and a group without RIS under it, as in cdf's sweep
-    layout, scatter = experiments._draw(CFG, range(T))
+    # one geometry at the largest RIS serves every tilt group, and a
+    # group without RIS under it, as in cdf's sweep; the group's heights
+    # are one leading axis, and row h is that height's pass
+    layout, _ = experiments._draw(CFG, range(T))
     geometry = link_geometry(layout, CFG)
-    cfg = CFG.with_overrides(h_uav=h_uav, tilt_deg=tilt, n_ris=n_ris)
-    ls, _ = experiments._channels(cfg, layout, geometry, scatter)
-    uav_pos = layout.uav_pos.copy()
-    uav_pos[:, 2] = h_uav
-    _assert_same(ls, large_scale(replace(layout, uav_pos=uav_pos), cfg))
+    cfg = CFG.with_overrides(tilt_deg=tilt, n_ris=n_ris)
+    stacked = large_scale(_moved(layout, HEIGHTS), cfg, geometry)
+    # the AP->RIS matrix depends on the tilt only: no height axis
+    assert stacked.H_ris.shape == (T, CFG.m_ap, n_ris)
+    single = large_scale(_moved(layout, h_uav), cfg)
+    row = HEIGHTS.index(h_uav)
+    for f in stacked.__dataclass_fields__:
+        got = getattr(stacked, f)
+        assert np.array_equal(got if f == "H_ris" else got[row],
+                              getattr(single, f)), f
 
 
 def test_gain_matches_per_trial_calls():
@@ -183,11 +202,18 @@ def test_sanity_check_fails_on_the_stack_iff_a_trial_fails():
                             rate_bps(sinr[1], 1.0))
 
 
-# mixed groups: N = 0 and RIS prefixes, kappa = 0 (NaN gain), two heights
-# and two tilts
+# mixed groups: N = 0 and RIS prefixes, kappa = 0 (NaN gain), three
+# heights and two tilts, one of which holds two heights
 POINTS = [CFG.with_overrides(n_ris=n, kappa=k, h_uav=h, tilt_deg=tilt)
-          for h, tilt in ((40.0, 15.0), (200.0, -5.0))
+          for h, tilt in ((40.0, 15.0), (200.0, -5.0), (300.0, 15.0))
           for n in (0, 3, 8) for k in (0.0, 0.3)]
+# one tilt holds two heights with different RIS sizes and kappas, next to
+# a tilt with a single height
+MIXED = [CFG.with_overrides(n_ris=n, kappa=k, h_uav=h, tilt_deg=tilt)
+         for h, tilt, ns, ks in ((40.0, 15.0, (0, 8), (0.1,)),
+                                 (200.0, 15.0, (3,), (0.0, 0.3)),
+                                 (100.0, -5.0, (8,), (0.2,)))
+         for n in ns for k in ks]
 
 
 def _paired_gains(results):
@@ -234,6 +260,20 @@ def test_batch_size_does_not_change_results(monkeypatch, batch_sizes, batch,
         assert np.array_equal(a, b, equal_nan=True)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_every_point_matches_its_own_sweep(monkeypatch, batch, workers):
+    # a point evaluated at every height of its tilt, and at the RIS sizes
+    # and kappas of the other heights, gives exactly its results alone
+    alone = [run_sweep([p])[0] for p in MIXED]
+    per_trial = CFG.m_ap * (CFG.n_ris + CFG.n_users)
+    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch * per_trial)
+    got = run_sweep(MIXED, workers=workers)
+    for a, b in zip(alone, got, strict=True):
+        assert np.array_equal(a.rates_bps, b.rates_bps)
+        assert np.array_equal(a.sinr, b.sinr)
+
+
 def test_default_batch_holds_the_whole_chunk(batch_sizes):
     run_sweep(POINTS)
     # 25 trials fit one batch, drawn once and shared by every point
@@ -260,7 +300,12 @@ def test_groups_are_formed_once_per_sweep(monkeypatch):
     monkeypatch.setattr(experiments, "BATCH_ELEMENTS", 1)   # 25 batches
     run_sweep(POINTS)
     assert calls == one_batch
+    # one group per tilt: tilt 15 holds two heights, tilt -5 one
     assert one_batch == {"_groups": 1, "with_overrides": 2}
+    groups = experiments._groups(POINTS)
+    assert [cfg.tilt_deg for cfg, *_ in groups] == [15.0, -5.0]
+    assert [list(heights) for _, heights, *_ in groups] == [[40.0, 300.0],
+                                                            [200.0]]
 
 
 @pytest.mark.parametrize("field, value", [("m_ap", 7), ("master_seed", 12),

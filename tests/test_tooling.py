@@ -57,19 +57,33 @@ def test_workload_runs(name):
 def test_workload_runs_traced(name, tmp_path):
     # every stage a traced benchmark run times must be called under the
     # tracer's wrappers, with arguments its work counters accept
-    wl = WORKLOADS[name]
-    _, spec = _spec([*wl.args, "--trials", "2", "--workers", "1"])
+    summary = _traced_summary(name, tmp_path)
+    assert summary["missing"] == []
+    for stage in ("geometry.place_nodes", "channel.large_scale",
+                  "link.sinr_all", "beamforming.gamma_analytic"):
+        assert summary["calls"].get(stage, 0) > 0, stage
+
+
+def _traced_summary(name, tmp_path):
+    """Tracer summary of one workload at 2 trials per point (one batch)."""
+    _, spec = _spec([*WORKLOADS[name].args, "--trials", "2",
+                     "--workers", "1"])
     tracer = CHILD["Tracer"]()
     tracer.install()
     try:
         cli.run(spec, tmp_path, workers=1)
     finally:
         tracer.restore()
-    summary = tracer.summary(1)
-    assert summary["missing"] == []
-    for stage in ("geometry.place_nodes", "channel.large_scale",
-                  "link.sinr_all", "beamforming.gamma_analytic"):
-        assert summary["calls"].get(stage, 0) > 0, stage
+    return tracer.summary(1)
+
+
+def test_ris_gain_heights_share_one_pass(tmp_path):
+    # the 3 heights are one tilt group: its batch makes one large-scale
+    # pass and one evaluation per RIS size (0 and 5 sizes), not one per
+    # height
+    calls = _traced_summary("ris-gain", tmp_path)["calls"]
+    assert calls["channel.large_scale"] == 1
+    assert calls["beamforming.gamma_analytic"] == 6
 
 
 def test_pool_workers_ship_their_spans(tmp_path):
