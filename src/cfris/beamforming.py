@@ -13,6 +13,7 @@ bit-identical to the result of its own realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,7 @@ class RisConfig:
         return cls(v=np.zeros(0, dtype=complex))
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
+class PowerAllocation(NamedTuple):
     """Per-AP, per-user transmit powers and power-control coefficients."""
 
     p_dl: np.ndarray   # (..., M, K) watts

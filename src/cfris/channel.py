@@ -17,7 +17,7 @@ with d the center-to-center distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def array_response(n_elems: int, node_dir, d_ref, wavelength: float):
         * np.exp(1j * (-np.pi * cos_phi * n))
 
 
-@dataclass(frozen=True)
-class LargeScaleParams:
+class LargeScaleParams(NamedTuple):
     """Deterministic per-link quantities for one layout, or a stack of them.
 
     Shapes: M APs, K = U + 1 users (column 0 = UAV), N RIS elements, after
@@ -137,8 +136,7 @@ def _nonzero(d):
     return np.where(d > 0.0, d, 1.0)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(NamedTuple):
     """The part of large_scale that depends on neither the UAV nor the tilt.
 
     Shapes after the layout's leading batch axes (...): M APs, U GUEs and
@@ -262,8 +260,7 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig,
                                  geo.nlos_ris_gue))
 
 
-@dataclass(frozen=True)
-class ChannelSet:
+class ChannelSet(NamedTuple):
     """One small-scale realization of the fading channels, or a stack.
 
     The AP->RIS matrix is deterministic and lives in LargeScaleParams.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import platform
 import sys
@@ -118,15 +119,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_rows(rows) -> list[str]:
-    """A header of the first row's keys, a ``*_bps`` value in Mbps."""
+def _cells(rows, keys, bps):
+    """The ``%`` format of each column and every cell, row by row.
+
+    ``"%.10g" % x`` is ``_fmt(x)`` for a Python float; a column holding
+    anything else is formatted cell by cell here.  The column lists end
+    with this call, so they are freed before the text is built.
+    """
+    formats, columns = [], []
+    for key in keys:
+        column = ([r[key] / 1e6 for r in rows] if key in bps
+                  else [r[key] for r in rows])
+        if all(type(x) is float for x in column):
+            formats.append("%.10g")
+        else:
+            formats.append("%s")
+            column = [_fmt(x) for x in column]
+        columns.append(column)
+    return formats, tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def _csv_text(rows) -> str:
+    """A header of the first row's keys, then a line of ``_fmt`` cells per
+    row, a ``*_bps`` value in Mbps; the lines are formatted in one pass."""
     keys = list(rows[0])
     bps = {key for key in keys if key.endswith("_bps")}
     header = [key[:-4] + "_mbps" if key in bps else _COLUMNS.get(key, key)
               for key in keys]
-    return [",".join(header)] + [
-        ",".join(_fmt(r[key] / 1e6 if key in bps else r[key]) for key in keys)
-        for r in rows]
+    formats, cells = _cells(rows, keys, bps)
+    line = ",".join(formats) + "\n"
+    return ",".join(header) + "\n" + (line * len(rows)) % cells
 
 
 def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
@@ -139,8 +161,7 @@ def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / study.csv_name
-    csv_path.write_text("\n".join(_csv_rows(rows)) + "\n",
-                        encoding="utf-8", newline="\n")
+    csv_path.write_text(_csv_text(rows), encoding="utf-8", newline="\n")
 
     manifest = {
         "tool": "cfris",

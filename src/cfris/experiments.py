@@ -39,8 +39,7 @@ over one process pool when it has more than one worker.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -114,18 +113,26 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _sanity_check_rates(cfg: SimConfig, G: np.ndarray, gamma: np.ndarray,
-                        sinr: np.ndarray, rates: np.ndarray):
-    # Coherent upper bound: with eta = p_dl / gamma and p_dl <= p_d, the
-    # triangle inequality caps user k's signal at
-    # p_d (sum_m |G[m,k]|^2 / sqrt(gamma[m,k]))^2, a gamma = 0 term adding
-    # nothing.  A violation (or a NaN) is an internal inconsistency, not a
-    # property of the drawn geometry (plain RuntimeError, not
-    # SimulationError).  Leading axes are batch axes.
+def _coherent_cap(cfg: SimConfig, G: np.ndarray,
+                  gamma: np.ndarray) -> np.ndarray:
+    """Per-user SINR cap of every power split, with a 1e-9 relative margin.
+
+    With eta = p_dl / gamma and p_dl <= p_d, the triangle inequality caps
+    user k's signal at p_d (sum_m |G[m,k]|^2 / sqrt(gamma[m,k]))^2, a
+    gamma = 0 term adding nothing.  Leading axes are batch axes.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         coherent = np.where(gamma > 0.0, np.abs(G) ** 2 / np.sqrt(gamma), 0.0)
     cap = cfg.p_d_w * np.sum(coherent, axis=-2) ** 2 / cfg.noise_power_w
-    if not (np.all(rates >= 0.0) and np.all(sinr <= cap * (1.0 + 1e-9))):
+    return cap * (1.0 + 1e-9)
+
+
+def _sanity_check_rates(cap: np.ndarray, sinr: np.ndarray,
+                        rates: np.ndarray):
+    # A SINR above _coherent_cap (or a NaN) is an internal inconsistency,
+    # not a property of the drawn geometry (plain RuntimeError, not
+    # SimulationError).
+    if not (np.all(rates >= 0.0) and np.all(sinr <= cap)):
         raise RuntimeError("SINR outside the coherent upper bound")
 
 
@@ -165,20 +172,21 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
     axes are batch axes.  Raises SimulationError when a drawn geometry is
     degenerate.
     """
-    ls = replace(ls, H_ris=ls.H_ris[..., :n_ris],
-                 los_ris_user=ls.los_ris_user[..., :n_ris, :])
-    cs = replace(cs, h_ris_user=cs.h_ris_user[..., :n_ris, :])
+    ls = ls._replace(H_ris=ls.H_ris[..., :n_ris],
+                     los_ris_user=ls.los_ris_user[..., :n_ris, :])
+    cs = cs._replace(h_ris_user=cs.h_ris_user[..., :n_ris, :])
     ris = ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0],
                         cs.h_direct[..., 0])
     G = aggregate_channel(ls, cs, ris)
     W = np.conj(G)   # conjugate beamforming
     gamma = gamma_analytic(ls, ris)
+    cap = _coherent_cap(cfg, G, gamma)
     out = {}
     for kappa in kappas:
         pa = ppa_allocate(gamma, kappa, cfg.p_d_w)
         sinr = sinr_all(G, W, pa.eta, cfg.noise_power_w)
         rates = rate_bps(sinr, cfg.bandwidth_hz)
-        _sanity_check_rates(cfg, G, gamma, sinr, rates)
+        _sanity_check_rates(cap, sinr, rates)
         out[kappa] = PointResults(rates, sinr)
     return out
 
@@ -225,7 +233,7 @@ def _run_chunk(args) -> list[PointResults]:
         uav_pos = np.empty(heights.shape + layout.uav_pos.shape)
         uav_pos[...] = layout.uav_pos
         uav_pos[..., 2] = heights[:, None]
-        ls = large_scale(replace(layout, uav_pos=uav_pos), cfg, geometry)
+        ls = large_scale(layout._replace(uav_pos=uav_pos), cfg, geometry)
         cs = draw_channels(ls, (z_direct, z_ris_user[..., :cfg.n_ris, :]))
         out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
                for n_ris, kappas in evals.items()}
@@ -252,6 +260,25 @@ def _plan_chunks(points, workers: int):
     return max(1, min(workers, len(batches), cpus)), batches
 
 
+def _check_memory(points):
+    """Reject a sweep whose results cannot fit in physical memory.
+
+    Each point keeps a (trials, K) float64 array of rates and one of
+    SINR, and joining the batches' parts holds them twice.
+    """
+    names = getattr(os, "sysconf_names", {})
+    if "SC_PHYS_PAGES" not in names or "SC_PAGE_SIZE" not in names:
+        return
+    p = points[0]
+    need = len(points) * p.trials * p.n_users * 2 * 8 * 2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"trials: {p.trials} per point at {len(points)} points need "
+            f"{need / 2 ** 30:.3g} GiB for their results, more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory")
+
+
 def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
     """All trials of every sweep point, in one pass over the trial indices.
 
@@ -269,6 +296,7 @@ def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
                 and len({getattr(p, field) for p in points}) > 1:
             raise ConfigError(f"{field}: sweep points may differ only in "
                               f"{', '.join(PER_POINT_FIELDS)}")
+    _check_memory(points)
     procs, batches = _plan_chunks(points, workers)
     groups = _groups(points)
     tasks = [(groups, batch) for batch in batches]
@@ -277,6 +305,8 @@ def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
     else:
         # four work items per process even out their run times
         chunksize = -(-len(tasks) // (4 * procs))
+        # imported here: a run in one process never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
             parts = list(pool.map(_run_chunk, tasks, chunksize=chunksize))
     return [PointResults(*map(np.concatenate, zip(*per_batch)))

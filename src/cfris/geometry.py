@@ -129,8 +129,7 @@ def _check(ok: bool, key: str, msg: str):
         raise ConfigError(f"{key}: {msg}")
 
 
-@dataclass(frozen=True)
-class NetworkLayout:
+class NetworkLayout(typing.NamedTuple):
     """One realization of all node positions, or a stack of them.
 
     User index convention: k = 0 is the UAV, k = 1..U are GUEs.  The
@@ -142,12 +141,6 @@ class NetworkLayout:
     gue_pos: np.ndarray   # (..., U, 3)
     uav_pos: np.ndarray   # (..., 3)
     ris_pos: np.ndarray   # (3,)
-
-    @property
-    def user_pos(self) -> np.ndarray:
-        """(..., U+1, 3) stack with the UAV first."""
-        return np.concatenate([self.uav_pos[..., None, :], self.gue_pos],
-                              axis=-2)
 
 
 def place_nodes(cfg: SimConfig, rng) -> NetworkLayout:

@@ -47,7 +47,9 @@ def _links(cfg, trial_index):
     lay = place_nodes(cfg, rng)
     m_ap, n_users, n_ris = cfg.m_ap, cfg.n_users, cfg.n_ris
     lam = cfg.wavelength_m
-    users, ap, ris = lay.user_pos, lay.ap_pos, lay.ris_pos
+    # (K, 3) user positions, the UAV first
+    users = np.concatenate([lay.uav_pos[None, :], lay.gue_pos])
+    ap, ris = lay.ap_pos, lay.ris_pos
 
     # AP -> user: elevation pattern times d^-alpha (UAV) or Hata (GUEs)
     delta = users[None, :, :] - ap[:, None, :]

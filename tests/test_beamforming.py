@@ -102,15 +102,13 @@ class TestGammaAnalytic:
         assert np.allclose(gamma, ls.beta_direct ** 2, rtol=1e-12)
 
     def test_no_ris_rayleigh_and_los_limits(self):
-        import dataclasses
         cfg = SimConfig(n_ris=0)
         _, ls = self._ls(cfg, 1)
         phasors = ls.los_direct / np.abs(ls.los_direct)
-        rayleigh = dataclasses.replace(
-            ls, los_direct=np.zeros_like(phasors),
-            nlos_direct=np.ones_like(ls.nlos_direct))
-        los = dataclasses.replace(ls, los_direct=phasors,
-                                  nlos_direct=np.zeros_like(ls.nlos_direct))
+        rayleigh = ls._replace(los_direct=np.zeros_like(phasors),
+                               nlos_direct=np.ones_like(ls.nlos_direct))
+        los = ls._replace(los_direct=phasors,
+                          nlos_direct=np.zeros_like(ls.nlos_direct))
         for ls_k in (rayleigh, los):
             gamma = gamma_analytic(ls_k, RisConfig.none())
             assert np.allclose(gamma, ls.beta_direct ** 2, rtol=1e-12)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -163,8 +162,8 @@ class TestLargeScale:
         uav = np.append(rng.uniform(0, 40, 2), 100.0)
         la = place_nodes(cfg_a, np.random.default_rng(1))
         lb = place_nodes(cfg_b, np.random.default_rng(2))
-        la = dataclasses.replace(la, uav_pos=uav)
-        lb = dataclasses.replace(lb, uav_pos=uav)
+        la = la._replace(uav_pos=uav)
+        lb = lb._replace(uav_pos=uav)
         assert large_scale(la, cfg_a).beta_ris_user[0] == \
             large_scale(lb, cfg_b).beta_ris_user[0]
 
@@ -179,9 +178,8 @@ class TestLargeScale:
         # zero distance has no direction: finite responses, no NaN
         cfg = SimConfig(m_ap=1, n_gue=1, n_ris=4, h_ap=12.0)
         ris = [cfg.ris_x, 0.0, cfg.h_ris]
-        layout = dataclasses.replace(
-            _single_link_layout(cfg, [5.0, 5.0, cfg.h_gue], ris),
-            ap_pos=np.array([ris]))
+        layout = _single_link_layout(
+            cfg, [5.0, 5.0, cfg.h_gue], ris)._replace(ap_pos=np.array([ris]))
         ls = large_scale(layout, cfg)
         assert np.all(np.isfinite(ls.H_ris))
         assert np.all(np.isfinite(ls.los_ris_user))
@@ -210,8 +208,7 @@ class TestDrawChannels:
         cfg = SimConfig(m_ap=2, n_gue=2, n_ris=4)
         layout = place_nodes(cfg, np.random.default_rng(1))
         ls = large_scale(layout, cfg)
-        ls_los = dataclasses.replace(
-            ls, nlos_direct=np.zeros_like(ls.nlos_direct))
+        ls_los = ls._replace(nlos_direct=np.zeros_like(ls.nlos_direct))
         cs = draw_channels(ls_los, np.random.default_rng(9))
         assert np.array_equal(cs.h_direct, ls.beta_direct * ls.los_direct)
 

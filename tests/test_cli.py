@@ -1,11 +1,17 @@
 import json
+import math
+import os
 import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfris import ConfigError, SimConfig
-from cfris.cli import load_config, main, run
+from cfris.cli import _COLUMNS, _csv_text, _fmt, load_config, main, run
 from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_HEIGHTS,
                                DEFAULT_KAPPAS, DEFAULT_N_LIST, ExperimentSpec)
 from cfris.geometry import FIELD_TYPES
@@ -278,6 +284,48 @@ class TestRun:
         assert set(FIELD_TYPES) <= set(manifest["config"])
 
 
+def _per_cell_csv(rows):
+    """The CSV text written cell by cell with _fmt, as the one-pass
+    formatter must reproduce it."""
+    keys = list(rows[0])
+    header = [k[:-4] + "_mbps" if k.endswith("_bps") else _COLUMNS.get(k, k)
+              for k in keys]
+    lines = [",".join(header)] + [
+        ",".join(_fmt(r[k] / 1e6 if k.endswith("_bps") else r[k])
+                 for k in keys) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    FLOATS = [0.1, 1 / 3, 2.5e-7, 123456789.123, 1e22, -0.0, 5e-324,
+              math.nan, math.inf, -math.inf, 0.0, 1.0]
+
+    def test_python_float_columns(self):
+        rng = np.random.default_rng(1)
+        values = self.FLOATS + [float(x) for x in rng.standard_normal(200)
+                                * 10.0 ** rng.integers(-30, 30, 200)]
+        rows = [{"x": x, "rate_bps": x * 1e6, "h_uav_m": -x}
+                for x in values]
+        assert _csv_text(rows) == _per_cell_csv(rows)
+
+    def test_mixed_columns(self):
+        # rate-region's kappa holds floats and None; every other kind of
+        # cell, and a numpy float64 among Python floats, is written by _fmt
+        rows = [{"system": "no-ris", "kappa": 0.02, "n": 3, "flag": True,
+                 "gain": np.float64(1 / 3), "uav_rate_bps": 5.5e6},
+                {"system": "no-uav", "kappa": None, "n": -7, "flag": False,
+                 "gain": 0.25, "uav_rate_bps": 0.0},
+                {"system": "ris-n15", "kappa": 0.15, "n": 0, "flag": None,
+                 "gain": np.float64(math.nan), "uav_rate_bps": 1.0}]
+        text = _csv_text(rows)
+        assert text == _per_cell_csv(rows)
+        assert text.splitlines()[2] == "no-uav,,-7,False,0.25,0"
+
+    def test_numpy_float_column(self):
+        rows = [{"rate_bps": np.float64(x)} for x in self.FLOATS]
+        assert _csv_text(rows) == _per_cell_csv(rows)
+
+
 class TestMain:
     def test_happy_path(self, tmp_path, capsys):
         code = main(["--experiment", "ris-gain", "--trials", "25",
@@ -336,6 +384,40 @@ class TestMain:
         assert code == 1
         assert "simulation failed: degenerate geometry" in \
             capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not {"SC_PHYS_PAGES", "SC_PAGE_SIZE"}
+        <= set(getattr(os, "sysconf_names", ())),
+        reason="physical memory size unknown")
+    def test_trials_beyond_memory_exit_1(self, tmp_path, capsys):
+        # the batch plan of 10^12 trials used to end in a MemoryError
+        # traceback, or fill the host's memory
+        started = time.monotonic()
+        code = main(["--trials", "1000000000000", "--out", str(tmp_path)])
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration: trials:" in err
+        assert "physical memory" in err and "Traceback" not in err
+        assert not (tmp_path / "rate_region.csv").exists()
+
+    def test_one_process_run_loads_no_pool(self, tmp_path):
+        # the process pool is imported only by a run that forks
+        script = ("import sys\n"
+                  "from cfris import cli\n"
+                  "spec = cli.load_config(None, {'trials': 20})[1]\n"
+                  "cli.run(spec, sys.argv[1], workers=1)\n"
+                  "print(sorted(m for m in sys.modules if m.startswith("
+                  "('concurrent', 'multiprocessing'))))\n")
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "rate_region.csv").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2

@@ -110,8 +110,3 @@ class TestPlaceNodes:
         rng = rng_for(123)
         xs = [place_nodes(cfg, rng).ap_pos[0, 0] for _ in range(10_000)]
         assert abs(np.mean(xs) - 20.0) < 1.2
-
-    def test_user_pos_stacks_uav_first(self):
-        layout = place_nodes(SimConfig(), rng_for(5))
-        assert np.array_equal(layout.user_pos[0], layout.uav_pos)
-        assert np.array_equal(layout.user_pos[1:], layout.gue_pos)
