@@ -14,16 +14,16 @@ from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
                       antenna_gain_db, array_response, draw_channels,
                       large_scale, pathloss_gue_db, pathloss_simple_linear,
                       rician_k_linear)
-from .experiments import (ExperimentSpec, PointResults, likely_rate_95,
-                          rate_cdf, rate_region, ris_gain_sweep, run_sweep,
-                          run_trial, run_trials)
+from .experiments import (ExperimentSpec, likely_rate_95, rate_cdf,
+                          rate_region, ris_gain_sweep, run_sweep, run_trial,
+                          run_trials)
 from .geometry import (ConfigError, NetworkLayout, SimConfig,
                        SimulationError, place_nodes)
 from .link import rate_bps, ris_gain_db, sinr_all
 
 __all__ = [
     "ChannelSet", "ConfigError", "ExperimentSpec", "LargeScaleParams",
-    "NetworkLayout", "PointResults", "PowerAllocation", "RisConfig",
+    "NetworkLayout", "PowerAllocation", "RisConfig",
     "SimConfig", "SimulationError", "aggregate_channel", "antenna_gain_db",
     "array_response", "draw_channels", "gamma_analytic",
     "large_scale", "likely_rate_95", "pathloss_gue_db",

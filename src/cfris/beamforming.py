@@ -105,6 +105,10 @@ def ppa_allocate(gamma: np.ndarray, kappa: float, p_d: float
     p_dl[..., 0] = kappa * p_d
     p_dl[..., 1:] = (1.0 - kappa) * p_d * gamma[..., 1:] \
         / gue_sum[..., None]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eta = np.where(p_dl > 0.0, p_dl / gamma, 0.0)
+    if not np.all(np.isfinite(eta)):
+        # a zero or subnormal gamma under a positive power share
+        raise SimulationError("degenerate geometry: a user's channel is too "
+                              "weak for its power share at some AP")
     return PowerAllocation(p_dl=p_dl, eta=eta)

@@ -34,7 +34,9 @@ evaluated on the same channels at every height of the group, kappa
 entering only the power split and the SINR.  The engine evaluates only
 the points it is given; ris_gain_sweep adds the zero-element point that
 pairs each RIS gain.  A study runs its batches in turn, or maps them
-over one process pool when it has more than one worker.
+over one process pool when it has more than one worker, and each batch
+writes its trials into the sweep's one (points, trials, K) array of
+per-user SINR as it arrives.  The studies take rates from that array.
 """
 from __future__ import annotations
 
@@ -96,6 +98,8 @@ class ExperimentSpec:
         if self.n_list is None:
             object.__setattr__(self, "n_list", STUDIES[self.kind].n_list)
         for sweep, field in SWEEPS.items():
+            # a tuple, so that a numpy array is a sweep like a list
+            object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
             if not getattr(self, sweep):
                 raise ConfigError(f"{sweep}: need a non-empty list")
             for value in getattr(self, sweep):
@@ -127,12 +131,11 @@ def _coherent_cap(cfg: SimConfig, G: np.ndarray,
     return cap * (1.0 + 1e-9)
 
 
-def _sanity_check_rates(cap: np.ndarray, sinr: np.ndarray,
-                        rates: np.ndarray):
-    # A SINR above _coherent_cap (or a NaN) is an internal inconsistency,
-    # not a property of the drawn geometry (plain RuntimeError, not
-    # SimulationError).
-    if not (np.all(rates >= 0.0) and np.all(sinr <= cap)):
+def _sanity_check(cap: np.ndarray, sinr: np.ndarray):
+    # A SINR below 0 or above _coherent_cap (or a NaN) is an internal
+    # inconsistency, not a property of the drawn geometry (plain
+    # RuntimeError, not SimulationError).
+    if not (np.all(sinr >= 0.0) and np.all(sinr <= cap)):
         raise RuntimeError("SINR outside the coherent upper bound")
 
 
@@ -156,16 +159,9 @@ def _draw(cfg: SimConfig, trial_indices):
         complex_normals(normals[:, direct:], (n, k)))
 
 
-class PointResults(NamedTuple):
-    """Every trial of one sweep point; row t holds trial index t."""
-
-    rates_bps: np.ndarray     # (T, K) per-user, column 0 = UAV
-    sinr: np.ndarray          # (T, K) linear
-
-
 def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
               n_ris: int, kappas) -> dict:
-    """PointResults per kappa on the first n_ris RIS elements.
+    """Per-user SINR, (..., K), per kappa on the first n_ris RIS elements.
 
     Every RIS quantity is element-wise in n, so a prefix of a larger
     realization is exactly the realization of the smaller RIS.  Leading
@@ -185,9 +181,8 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
     for kappa in kappas:
         pa = ppa_allocate(gamma, kappa, cfg.p_d_w)
         sinr = sinr_all(G, W, pa.eta, cfg.noise_power_w)
-        rates = rate_bps(sinr, cfg.bandwidth_hz)
-        _sanity_check_rates(cap, sinr, rates)
-        out[kappa] = PointResults(rates, sinr)
+        _sanity_check(cap, sinr)
+        out[kappa] = sinr
     return out
 
 
@@ -217,9 +212,9 @@ def _groups(points):
     return groups
 
 
-def _run_chunk(args) -> list[PointResults]:
+def _run_chunk(args) -> np.ndarray:
     """Draw one batch of trial indices and evaluate every sweep group on
-    it; row t of each point's result is the batch's t-th trial.
+    it: the (points, batch trials, K) SINR, row t the batch's t-th trial.
 
     A group's UAV heights are one more leading axis, before the batch's
     trial axis, that only the UAV's terms carry.
@@ -228,7 +223,8 @@ def _run_chunk(args) -> list[PointResults]:
     widest = max((group[0] for group in groups), key=lambda c: c.n_ris)
     layout, (z_direct, z_ris_user) = _draw(widest, batch)
     geometry = link_geometry(layout, widest)
-    results = [None] * sum(len(group[3]) for group in groups)
+    sinr = np.empty((sum(len(group[3]) for group in groups), len(batch),
+                     widest.n_users))
     for cfg, heights, evals, members in groups:
         uav_pos = np.empty(heights.shape + layout.uav_pos.shape)
         uav_pos[...] = layout.uav_pos
@@ -238,8 +234,8 @@ def _run_chunk(args) -> list[PointResults]:
         out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
                for n_ris, kappas in evals.items()}
         for j, h, n_ris, kappa in members:
-            results[j] = PointResults(*(a[h] for a in out[n_ris][kappa]))
-    return results
+            sinr[j] = out[n_ris][kappa][h]
+    return sinr
 
 
 def _plan_chunks(points, workers: int):
@@ -263,14 +259,13 @@ def _plan_chunks(points, workers: int):
 def _check_memory(points):
     """Reject a sweep whose results cannot fit in physical memory.
 
-    Each point keeps a (trials, K) float64 array of rates and one of
-    SINR, and joining the batches' parts holds them twice.
+    The sweep keeps one float64 SINR per point, trial and user.
     """
     names = getattr(os, "sysconf_names", {})
     if "SC_PHYS_PAGES" not in names or "SC_PAGE_SIZE" not in names:
         return
     p = points[0]
-    need = len(points) * p.trials * p.n_users * 2 * 8 * 2
+    need = len(points) * p.trials * p.n_users * 8
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
@@ -279,13 +274,14 @@ def _check_memory(points):
             f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
-def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
-    """All trials of every sweep point, in one pass over the trial indices.
+def run_sweep(points, *, workers: int = 1) -> np.ndarray:
+    """Per-user SINR of every sweep point, (points, trials, K), in one
+    pass over the trial indices; column 0 is the UAV.
 
     ``points`` are SimConfigs sharing every field but n_ris, kappa,
-    h_uav and tilt_deg (ConfigError otherwise); trial index t of every
-    point is drawn from ``trial_rng(master_seed, t)``, for t below their
-    common ``trials``.
+    h_uav and tilt_deg (ConfigError otherwise); row t of each point is
+    trial index t, drawn from ``trial_rng(master_seed, t)``, for t below
+    their common ``trials``.
     """
     counts = {p.trials for p in points}
     if len(counts) != 1:
@@ -300,32 +296,34 @@ def run_sweep(points, *, workers: int = 1) -> list[PointResults]:
     procs, batches = _plan_chunks(points, workers)
     groups = _groups(points)
     tasks = [(groups, batch) for batch in batches]
+    sinr = np.empty((len(points), points[0].trials, points[0].n_users))
     if procs == 1:
-        parts = [_run_chunk(task) for task in tasks]
+        for batch, task in zip(batches, tasks):
+            sinr[:, batch.start:batch.stop] = _run_chunk(task)
     else:
         # four work items per process even out their run times
         chunksize = -(-len(tasks) // (4 * procs))
         # imported here: a run in one process never loads the pool
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = list(pool.map(_run_chunk, tasks, chunksize=chunksize))
-    return [PointResults(*map(np.concatenate, zip(*per_batch)))
-            for per_batch in zip(*parts)]
+            parts = pool.map(_run_chunk, tasks, chunksize=chunksize)
+            for batch, part in zip(batches, parts):
+                sinr[:, batch.start:batch.stop] = part
+    return sinr
 
 
-def run_trial(cfg: SimConfig, trial_index: int) -> PointResults:
-    """One trial on its own substream, as a one-row PointResults.
+def run_trial(cfg: SimConfig, trial_index: int) -> np.ndarray:
+    """The (1, K) SINR of one trial on its own substream.
 
     Kept only because the benchmark tracer (perfbench/child.py) wraps it
     by name; the studies call run_sweep.  Raises SimulationError when the
     drawn geometry is degenerate.
     """
-    (res,) = _run_chunk((_groups([cfg]), (trial_index,)))
-    return res
+    return _run_chunk((_groups([cfg]), (trial_index,)))[0]
 
 
-def run_trials(cfg: SimConfig, *, workers: int = 1) -> PointResults:
-    """All cfg.trials trials of one sweep point, row t = trial index t.
+def run_trials(cfg: SimConfig, *, workers: int = 1) -> np.ndarray:
+    """The (T, K) SINR of one sweep point, row t = trial index t.
 
     Kept only because the benchmark tracer (perfbench/child.py) wraps it
     by name; it is ``run_sweep([cfg], workers=workers)[0]``.
@@ -367,17 +365,18 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
     # GUE-only baseline: zero UAV power is equivalent to removing the UAV,
     # the full budget is then shared among the GUEs.
     points.append(cfg.with_overrides(n_ris=0, kappa=0.0))
-    *results, baseline = run_sweep(points, workers=workers)
+    *results, baseline = rate_bps(run_sweep(points, workers=workers)[..., :2],
+                                  cfg.bandwidth_hz)
     rows = [{
         "system": name,
         "kappa": kappa,
-        "gue_rate_bps": likely_rate_95(res.rates_bps[:, 1]),
-        "uav_rate_bps": likely_rate_95(res.rates_bps[:, 0]),
-    } for (name, _, kappa), res in zip(grid, results)]
+        "gue_rate_bps": likely_rate_95(rates[:, 1]),
+        "uav_rate_bps": likely_rate_95(rates[:, 0]),
+    } for (name, _, kappa), rates in zip(grid, results)]
     rows.append({
         "system": "no-uav",
         "kappa": None,
-        "gue_rate_bps": likely_rate_95(baseline.rates_bps[:, 1]),
+        "gue_rate_bps": likely_rate_95(baseline[:, 1]),
         "uav_rate_bps": 0.0,
     })
     return rows
@@ -402,11 +401,13 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS, *,
                                  tilt_deg=float(tilt_deg),
                                  n_ris=cfg.n_ris if with_ris else 0)
               for kappa, tilt_deg, with_ris in scenarios]
+    results = rate_bps(run_sweep(points, workers=workers)[..., :2],
+                       cfg.bandwidth_hz)
     rows = []
-    for scenario, res in zip(scenarios, run_sweep(points, workers=workers)):
+    for scenario, res in zip(scenarios, results):
         label = scenario_label(*scenario)
         for user, idx in (("uav", 0), ("gue1", 1)):
-            rates = np.sort(res.rates_bps[:, idx])
+            rates = np.sort(res[:, idx])
             prob = np.arange(1, rates.size + 1) / rates.size
             rows.extend({"scenario": label, "user": user,
                          "rate_bps": float(r), "prob": float(p)}
@@ -430,12 +431,12 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
     # per height: the paired no-RIS reference, then each element count
     points = [cfg.with_overrides(n_ris=n_ris, h_uav=float(h_uav))
               for h_uav in heights for n_ris in (0, *n_list)]
-    results = iter(run_sweep(points, workers=workers))
+    uav_sinr = iter(run_sweep(points, workers=workers)[..., 0])
     rows = []
     for h_uav in heights:
-        ref = next(results).sinr[:, 0]
+        ref = next(uav_sinr)
         for n_ris in n_list:
-            gain = ris_gain_db(next(results).sinr[:, 0], ref)
+            gain = ris_gain_db(next(uav_sinr), ref)
             rows.append({"n_ris": n_ris, "h_uav_m": float(h_uav),
                          "mean_gain_db": float(np.mean(gain))})
     return rows

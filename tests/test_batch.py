@@ -12,7 +12,7 @@ from cfris import (ConfigError, NetworkLayout, SimConfig, aggregate_channel,
                    sinr_all)
 from cfris import experiments
 from cfris.channel import complex_normals, link_geometry
-from cfris.experiments import _coherent_cap, _sanity_check_rates, run_sweep
+from cfris.experiments import _coherent_cap, _sanity_check, run_sweep
 
 CFG = SimConfig(m_ap=6, n_gue=3, n_ris=8, kappa=0.2, master_seed=5,
                 trials=25)
@@ -98,7 +98,7 @@ def test_stage_functions_match_per_trial_calls(n_ris):
     _assert_same(sinr, _stack([s["sinr"] for s in single]))
     rates = rate_bps(sinr, CFG.bandwidth_hz)
     _assert_same(rates, _stack([s["rates"] for s in single]))
-    _sanity_check_rates(_coherent_cap(CFG, G, gamma), sinr, rates)
+    _sanity_check(_coherent_cap(CFG, G, gamma), sinr)
 
 
 def test_draw_from_a_generator_matches_the_scatter_pair():
@@ -188,16 +188,14 @@ def test_sanity_check_fails_on_the_stack_iff_a_trial_fails():
     sinr = np.full((3, 2), 0.5)
     cfg = SimConfig(p_d_w=1.0, noise_power_dbm=30.0)   # 1 W noise
     cap = _coherent_cap(cfg, G, gamma)
-    _sanity_check_rates(cap, sinr, rate_bps(sinr, 1.0))
+    _sanity_check(cap, sinr)
     sinr[1, 0] = 5.0   # above the coherent cap p_d (2 * 1)^2 / 1 = 4
     with pytest.raises(RuntimeError):
-        _sanity_check_rates(cap, sinr, rate_bps(sinr, 1.0))
+        _sanity_check(cap, sinr)
     for t in (0, 2):
-        _sanity_check_rates(_coherent_cap(cfg, G[t], gamma[t]), sinr[t],
-                            rate_bps(sinr[t], 1.0))
+        _sanity_check(_coherent_cap(cfg, G[t], gamma[t]), sinr[t])
     with pytest.raises(RuntimeError):
-        _sanity_check_rates(_coherent_cap(cfg, G[1], gamma[1]), sinr[1],
-                            rate_bps(sinr[1], 1.0))
+        _sanity_check(_coherent_cap(cfg, G[1], gamma[1]), sinr[1])
 
 
 # mixed groups: N = 0 and RIS prefixes, kappa = 0 (NaN gain), three
@@ -218,8 +216,7 @@ def _paired_gains(results):
     """UAV gain of each point of POINTS over the one at N = 0 with its
     kappa, height and tilt."""
     by_point = dict(zip(POINTS, results, strict=True))
-    return [ris_gain_db(res.sinr[:, 0],
-                        by_point[p.with_overrides(n_ris=0)].sinr[:, 0])
+    return [ris_gain_db(res[:, 0], by_point[p.with_overrides(n_ris=0)][:, 0])
             for p, res in by_point.items()]
 
 
@@ -252,8 +249,7 @@ def test_batch_size_does_not_change_results(monkeypatch, batch_sizes, batch,
         assert max(batch_sizes) == batch
         assert sum(batch_sizes) == CFG.trials
     for a, b in zip(default, got, strict=True):
-        assert np.array_equal(a.rates_bps, b.rates_bps)
-        assert np.array_equal(a.sinr, b.sinr)
+        assert np.array_equal(a, b)
     for a, b in zip(_paired_gains(default), _paired_gains(got)):
         assert np.array_equal(a, b, equal_nan=True)
 
@@ -268,8 +264,7 @@ def test_every_point_matches_its_own_sweep(monkeypatch, batch, workers):
     monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch * per_trial)
     got = run_sweep(MIXED, workers=workers)
     for a, b in zip(alone, got, strict=True):
-        assert np.array_equal(a.rates_bps, b.rates_bps)
-        assert np.array_equal(a.sinr, b.sinr)
+        assert np.array_equal(a, b)
 
 
 def test_default_batch_holds_the_whole_chunk(batch_sizes):

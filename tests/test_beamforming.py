@@ -170,6 +170,16 @@ class TestPpaAllocate:
         with pytest.raises(ConfigError):
             ppa_allocate(np.ones((1, 2)), 1.2, 1.0)
 
+    @pytest.mark.parametrize("uav_gamma", [0.0, 1e-320])
+    def test_too_weak_uav_channel_rejected(self, uav_gamma):
+        # p_dl / gamma used to give the UAV an infinite eta, then a NaN SINR
+        gamma = np.ones((2, 3))
+        gamma[:, 0] = uav_gamma
+        with pytest.raises(SimulationError, match="degenerate geometry"):
+            ppa_allocate(gamma, 0.1, 1.0)
+        # without UAV power its eta is 0, whatever its gamma
+        assert np.all(ppa_allocate(gamma, 0.0, 1.0).eta[:, 0] == 0.0)
+
 
 class TestRisConfig:
     def test_rejects_non_unit_modulus(self):

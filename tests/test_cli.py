@@ -249,6 +249,17 @@ class TestRun:
         assert manifest["config"]["kappa"] == 0.25
         assert manifest["sweeps"]["n_list"] == [6]
 
+    def test_numpy_array_sweeps(self, tmp_path):
+        # an array sweep used to raise "The truth value of an array ... is
+        # ambiguous"
+        base = SimConfig(m_ap=5, n_gue=2, trials=25)
+        spec = ExperimentSpec("ris-gain", base, n_list=np.array([4, 8]),
+                              heights=np.array([100.0]))
+        assert spec.n_list == (4, 8) and spec.heights == (100.0,)
+        run(spec, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["sweeps"] == {"n_list": [4, 8], "heights": [100.0]}
+
     def test_rate_region_csv_schema(self, tmp_path):
         csv_path = run(_tiny_spec("rate-region"), tmp_path)
         lines = csv_path.read_text().splitlines()
@@ -384,6 +395,24 @@ class TestMain:
         assert code == 1
         assert "simulation failed: degenerate geometry" in \
             capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags, config", [
+        (["--uav-height", "1e128"], ""),
+        ([], "alpha = 200\n"),
+    ], ids=["far-uav", "alpha-200"])
+    def test_too_weak_uav_channel_exit_1(self, tmp_path, capsys, flags,
+                                         config):
+        # the UAV's gamma is 0 or subnormal, so its eta was infinite and
+        # its SINR NaN: this ended in a RuntimeError traceback
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        code = main(["--config", str(path), "--experiment", "cdf",
+                     "--trials", "20", *flags, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "simulation failed: degenerate geometry" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out" / "rate_cdf.csv").exists()
 
     @pytest.mark.skipif(
         not {"SC_PHYS_PAGES", "SC_PAGE_SIZE"}

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cfris import (ConfigError, ExperimentSpec, SimConfig, likely_rate_95,
-                   rate_cdf, rate_region, ris_gain_db, ris_gain_sweep,
-                   run_trial, run_trials)
+                   rate_bps, rate_cdf, rate_region, ris_gain_db,
+                   ris_gain_sweep, run_trial, run_trials)
 from cfris import experiments
 from cfris.experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
                                DEFAULT_N_LIST, MIN_RATE_95_SAMPLES,
@@ -23,23 +23,23 @@ class TestRunTrial:
     def test_bit_identical_repeat(self):
         a = run_trial(SMALL, 5)
         b = run_trial(SMALL, 5)
-        assert np.array_equal(a.rates_bps, b.rates_bps)
-        assert np.array_equal(a.sinr, b.sinr)
+        assert np.array_equal(a, b)
         ref = run_trial(SMALL.with_overrides(n_ris=0), 5)
-        assert np.array_equal(ris_gain_db(a.sinr[:, 0], ref.sinr[:, 0]),
-                              ris_gain_db(b.sinr[:, 0], ref.sinr[:, 0]))
+        assert np.array_equal(ris_gain_db(a[:, 0], ref[:, 0]),
+                              ris_gain_db(b[:, 0], ref[:, 0]))
 
     def test_distinct_trials_differ(self):
         a = run_trial(SMALL, 0)
         b = run_trial(SMALL, 1)
-        assert not np.array_equal(a.rates_bps, b.rates_bps)
+        assert not np.array_equal(a, b)
 
     def test_no_ris_has_no_gain(self):
         r = run_trial(SMALL.with_overrides(n_ris=0), 3)
-        assert np.all(r.rates_bps >= 0.0)
+        assert np.all(rate_bps(r, SMALL.bandwidth_hz) >= 0.0)
 
     def test_kappa_zero_silences_uav(self):
-        rates = run_trial(SMALL.with_overrides(kappa=0.0), 2).rates_bps[0]
+        rates = rate_bps(run_trial(SMALL.with_overrides(kappa=0.0), 2),
+                         SMALL.bandwidth_hz)[0]
         assert rates[0] == 0.0
         assert np.all(rates[1:] > 0.0)
 
@@ -50,8 +50,8 @@ class TestRunTrial:
     def test_finite_nonnegative_outputs(self):
         for t in range(10):
             r = run_trial(SMALL, t)
-            assert np.all(np.isfinite(r.rates_bps))
-            assert np.all(r.sinr >= 0.0)
+            assert np.all(np.isfinite(rate_bps(r, SMALL.bandwidth_hz)))
+            assert np.all(r >= 0.0)
 
     def test_pinned_trial_values(self):
         # Trial 4 of seed 3 is drawn from SeedSequence(3, spawn_key=(4, 0));
@@ -59,15 +59,15 @@ class TestRunTrial:
         cfg = SimConfig(m_ap=5, n_gue=2, n_ris=6, master_seed=3)
         r = run_trial(cfg, 4)
         np.testing.assert_allclose(
-            r.rates_bps[0],
+            rate_bps(r, cfg.bandwidth_hz)[0],
             [13023772.651474953, 11286413.664331613, 10134065.805796774],
             rtol=1e-12)
         r0 = run_trial(cfg.with_overrides(n_ris=0), 4)
         np.testing.assert_allclose(
-            r0.rates_bps[0],
+            rate_bps(r0, cfg.bandwidth_hz)[0],
             [12075961.266997825, 11688602.857884252, 6758115.929857713],
             rtol=1e-12)
-        assert ris_gain_db(r.sinr[0, 0], r0.sinr[0, 0]) == pytest.approx(
+        assert ris_gain_db(r[0, 0], r0[0, 0]) == pytest.approx(
             0.40463537910730485, rel=1e-12)
 
     def test_single_ap_within_coherent_bound(self):
@@ -75,17 +75,16 @@ class TestRunTrial:
         # exceeds the old cap p_d M^2 max|G|^2 / noise = 0.771, yet stays
         # below the coherent bound
         cfg = SimConfig(m_ap=1, n_ris=20, kappa=0.1, master_seed=1)
-        r = run_trial(cfg, 57)
-        assert np.all(np.isfinite(r.rates_bps))
-        assert np.all(r.rates_bps >= 0.0)
+        rates = rate_bps(run_trial(cfg, 57), cfg.bandwidth_hz)
+        assert np.all(np.isfinite(rates))
+        assert np.all(rates >= 0.0)
 
 
 def _per_point(cfg, trials):
     """Reference: every trial of one sweep point run on its own; rates
     and SINR, (trials, K) each."""
-    results = [run_trial(cfg, i) for i in range(trials)]
-    return (np.array([r.rates_bps[0] for r in results]),
-            np.array([r.sinr[0] for r in results]))
+    sinr = np.array([run_trial(cfg, i)[0] for i in range(trials)])
+    return rate_bps(sinr, cfg.bandwidth_hz), sinr
 
 
 class TestSweepEquivalence:
@@ -157,13 +156,12 @@ class TestSweepEquivalence:
         results = dict(zip(points, run_sweep(points), strict=True))
         refs = {cfg: _per_point(cfg, self.TRIALS) for cfg in points}
         for cfg, res in results.items():
-            rates, sinr = refs[cfg]
-            assert np.array_equal(res.rates_bps, rates)
-            assert np.array_equal(res.sinr, sinr)
+            _, sinr = refs[cfg]
+            assert np.array_equal(res, sinr)
             # the paired gain over the sweep's N = 0 point
             zero = cfg.with_overrides(n_ris=0)
             assert np.array_equal(
-                ris_gain_db(res.sinr[:, 0], results[zero].sinr[:, 0]),
+                ris_gain_db(res[:, 0], results[zero][:, 0]),
                 ris_gain_db(sinr[:, 0], refs[zero][1][:, 0]), equal_nan=True)
 
     def test_ris_gain_pinned_values(self):
@@ -198,9 +196,8 @@ class TestWorkers:
         assert len(batches) == 6 and procs == min(4, CPUS)
         serial = run_trials(cfg, workers=1)
         parallel = run_trials(cfg, workers=4)
-        assert serial.rates_bps.shape[0] == parallel.rates_bps.shape[0] == 24
-        assert np.array_equal(serial.rates_bps, parallel.rates_bps)
-        assert np.array_equal(serial.sinr, parallel.sinr)
+        assert serial.shape[0] == parallel.shape[0] == 24
+        assert np.array_equal(serial, parallel)
 
     def test_worker_count_is_keyword_only(self):
         # a positional count must not be taken for a worker count
@@ -245,7 +242,7 @@ class TestWorkers:
         procs, _ = _plan_chunks([SMALL], 2)
         assert 1 <= procs <= (os.cpu_count() or 1)
         res = run_trials(SMALL.with_overrides(trials=3), workers=2)
-        assert res.rates_bps.shape == (3, SMALL.n_users)
+        assert res.shape == (3, SMALL.n_users)
 
 
 class TestLikelyRate95:

@@ -1,15 +1,20 @@
-"""Property test over the SimConfig domain.
+"""Property tests over the SimConfig domain and over random sweeps.
 
 Every configuration is either rejected (ConfigError for a value out of
 range, SimulationError for a drawn geometry too degenerate to allocate
-power) or runs to finite, non-negative rates and SINRs.
+power) or runs to finite, non-negative rates and SINRs.  Every point of a
+random sweep, in batches of any size, matches the loop-level reference
+and gives exactly its results alone.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfris import ConfigError, SimConfig, SimulationError
+from cfris import (ConfigError, SimConfig, SimulationError, experiments,
+                   rate_bps)
 from cfris.experiments import run_sweep
+from reference_pipeline import reference_trial
 
 # The accepted domain, with the boundaries SimConfig rejects (h_ap = 0,
 # p_d_w = 0) and positions outside the area (ris_x) mixed in.
@@ -46,5 +51,65 @@ def test_config_is_rejected_or_runs_to_finite_rates(kw):
         (res,) = run_sweep([cfg])
     except SimulationError:
         return
-    assert np.all(np.isfinite(res.rates_bps)) and np.all(res.rates_bps >= 0)
-    assert np.all(np.isfinite(res.sinr)) and np.all(res.sinr >= 0)
+    rates = rate_bps(res, cfg.bandwidth_hz)
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
+    assert np.all(np.isfinite(res)) and np.all(res >= 0)
+
+
+@st.composite
+def sweeps(draw):
+    """A small configuration, a sweep over it and a batch budget.
+
+    The points are every (RIS size, kappa) pair at 1-2 UAV heights per
+    tilt, from a pool of heights that holds 0 and h_ris, so tilts share
+    heights; they come in any order, the first one twice.
+    """
+    cfg = SimConfig(
+        m_ap=draw(st.integers(1, 6)), n_gue=draw(st.integers(1, 4)),
+        n_ris=draw(st.integers(0, 8)),
+        # one draw in a few is degenerate: a 1e100 m area leaves every GUE
+        # channel at 0
+        area_side=(draw(st.sampled_from([1e100, None, None, None]))
+                   or draw(st.floats(1.0, 1e4))),
+        h_ris=draw(st.floats(0.0, 100.0)), trials=draw(st.integers(3, 5)),
+        master_seed=draw(st.integers(0, 2**64 - 1)))
+    heights = st.sampled_from([0.0, cfg.h_ris, draw(st.floats(0.0, 500.0))])
+    evals = draw(st.lists(st.tuples(st.sampled_from(range(cfg.n_ris + 1)),
+                                    st.floats(0.0, 1.0)),
+                          min_size=1, max_size=2))
+    points = draw(st.permutations([
+        cfg.with_overrides(n_ris=n, kappa=k, h_uav=h, tilt_deg=tilt)
+        for tilt in draw(st.lists(st.floats(-90.0, 90.0), min_size=1,
+                                  max_size=3))
+        for h in draw(st.lists(heights, min_size=1, max_size=2))
+        for n, k in evals]))
+    return points + points[:1], draw(st.integers(1, 3))
+
+
+def _sweep_or_none(points):
+    try:
+        return run_sweep(points)
+    except SimulationError:
+        return None
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(sweeps())
+def test_sweep_matches_oracle_and_each_point_alone(sweep):
+    points, budget = sweep
+    # a batch budget of 1-3 trials at the sweep's largest RIS
+    per_trial = points[0].m_ap * (max(p.n_ris for p in points)
+                                  + points[0].n_users)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "BATCH_ELEMENTS", budget * per_trial)
+        got = _sweep_or_none(points)
+        alone = [_sweep_or_none([p]) for p in points]
+    # a degenerate draw fails the sweep and the point alone alike
+    assert (got is None) == any(a is None for a in alone)
+    if got is None:
+        return
+    assert got.shape == (len(points), points[0].trials, points[0].n_users)
+    for p, res, (single,) in zip(points, got, alone, strict=True):
+        assert np.array_equal(res, single)
+        oracle = [reference_trial(p, t)[1] for t in range(p.trials)]
+        np.testing.assert_allclose(res, oracle, rtol=1e-12, atol=0)

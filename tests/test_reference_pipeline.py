@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from cfris import (SimConfig, likely_rate_95, rate_cdf, rate_region,
-                   ris_gain_db, ris_gain_sweep)
+from cfris import (SimConfig, likely_rate_95, rate_bps, rate_cdf,
+                   rate_region, ris_gain_db, ris_gain_sweep)
 from cfris.experiments import run_sweep, scenario_label
 from reference_pipeline import reference_trial
 
@@ -29,14 +29,14 @@ def test_sweep_matches_reference_per_trial():
     results = dict(zip(points, run_sweep(points), strict=True))
     for cfg, res in results.items():
         rates, sinr, gains = _reference(cfg)
-        assert np.all(np.isfinite(res.rates_bps))
-        assert np.all(np.isfinite(res.sinr))
-        np.testing.assert_allclose(res.rates_bps, rates, rtol=RTOL, atol=0)
-        np.testing.assert_allclose(res.sinr, sinr, rtol=RTOL, atol=0)
+        assert np.all(np.isfinite(res))
+        np.testing.assert_allclose(rate_bps(res, cfg.bandwidth_hz), rates,
+                                   rtol=RTOL, atol=0)
+        np.testing.assert_allclose(res, sinr, rtol=RTOL, atol=0)
         if cfg.n_ris:
             # paired with the sweep's N = 0 point of the same realization
             zero = results[cfg.with_overrides(n_ris=0)]
-            gain = ris_gain_db(res.sinr[:, 0], zero.sinr[:, 0])
+            gain = ris_gain_db(res[:, 0], zero[:, 0])
             assert np.all(np.isfinite(gain))
             np.testing.assert_allclose(gain, gains, rtol=0, atol=1e-12)
 
