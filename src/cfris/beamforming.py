@@ -35,10 +35,6 @@ class RisConfig:
         if not np.all(np.abs(np.abs(v) - 1.0) <= 1e-9 + 1e-5):
             raise ConfigError("v: RIS coefficients must be unit modulus")
 
-    @classmethod
-    def none(cls) -> "RisConfig":
-        return cls(v=np.zeros(0, dtype=complex))
-
 
 class PowerAllocation(NamedTuple):
     """Per-AP, per-user transmit powers and power-control coefficients."""
@@ -57,8 +53,6 @@ def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
     the phase at 0 (it cannot affect the product).  Shapes: H_ris
     (..., M, N), h_ris_uav (..., N), h_uav (..., M).
     """
-    if H_ris.shape[-1] == 0:
-        return RisConfig.none()
     r = H_ris * h_ris_uav[..., None, :]
     t = (np.swapaxes(r, -1, -2) @ np.conj(h_uav)[..., None])[..., 0]
     mag = np.abs(t)
@@ -71,19 +65,16 @@ def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
 def gamma_analytic(ls: LargeScaleParams, ris: RisConfig) -> np.ndarray:
     """Closed-form second moment gamma[m,k] = E|g_{m,k}|^2 of the precoder.
 
-    gamma = |mu|^2 + sigma^2: mu is the aggregate channel of the link means
-    beta * los, and sigma^2 adds the direct scatter power (beta * nlos)^2
-    and the RIS->user scatter power (beta_ru * nlos_ru)^2 collected over
-    the AP->RIS row, which unit-modulus coefficients reduce to
-    sum_n |H_ris[m,n]|^2.  The RIS->UAV leg has no scatter power.
+    gamma = |mu|^2 + sigma^2: mu is the aggregate channel of the link
+    means, and sigma^2 adds the direct scatter power std_direct^2 and the
+    RIS->user scatter power std_ris_user^2 collected over the AP->RIS
+    row, which unit-modulus coefficients reduce to sum_n |H_ris[m,n]|^2.
+    The RIS->UAV leg has no scatter power.
     """
-    v = np.asarray(ris.v, dtype=complex)
-    mu = combine_paths(ls.beta_direct * ls.los_direct, ls.H_ris, v,
-                       ls.beta_ris_user[..., None, :] * ls.los_ris_user)
-    ris_var = (ls.beta_ris_user * ls.nlos_ris_user) ** 2
+    mu = combine_paths(ls.mean_direct, ls.H_ris, ris.v, ls.mean_ris_user)
     h_sq = np.sum(np.abs(ls.H_ris) ** 2, axis=-1)
-    return np.abs(mu) ** 2 + (ls.beta_direct * ls.nlos_direct) ** 2 \
-        + ris_var[..., None, :] * h_sq[..., :, None]
+    return np.abs(mu) ** 2 + ls.std_direct ** 2 \
+        + ls.std_ris_user[..., None, :] ** 2 * h_sq[..., :, None]
 
 
 def ppa_allocate(gamma: np.ndarray, kappa: float, p_d: float

@@ -107,21 +107,19 @@ class LargeScaleParams(NamedTuple):
     Shapes: M APs, K = U + 1 users (column 0 = UAV), N RIS elements, after
     the layout's leading batch axes (...); ``H_ris`` has only the axes
     of the APs, which the UAV position may extend.
-    Each Rician link h = beta * (los + nlos * z), z unit complex normal,
-    is stored as its amplitude beta, its complex LoS part los (the weight
-    sqrt(K/(K+1)) times the LoS phasor or array response) and its real
-    scatter weight nlos = sqrt(1/(K+1)).  The RIS->UAV leg is pure LoS:
-    its los weight is 1 and its nlos 0.  ``H_ris`` is the full
-    deterministic AP->RIS channel matrix (amplitude included).
+    Each Rician link h = mean + std * z, z unit complex normal, is stored
+    as its complex mean (the amplitude times the weight sqrt(K/(K+1))
+    times the LoS phasor or array response) and its real scatter
+    amplitude std (the amplitude times sqrt(1/(K+1))), so E|h|^2 =
+    |mean|^2 + std^2.  The RIS->UAV leg is pure LoS: its std is 0.
+    ``H_ris`` is the full deterministic AP->RIS channel matrix.
     """
 
-    beta_direct: np.ndarray     # (..., M, K) amplitude sqrt(zeta)
-    los_direct: np.ndarray      # (..., M, K) weighted unit LoS phasors
-    nlos_direct: np.ndarray     # (..., M, K) scatter weights
+    mean_direct: np.ndarray     # (..., M, K) AP->user means
+    std_direct: np.ndarray      # (..., M, K) AP->user scatter amplitudes
     H_ris: np.ndarray           # (..., M, N) deterministic AP->RIS channels
-    beta_ris_user: np.ndarray   # (..., K) RIS->user amplitudes
-    los_ris_user: np.ndarray    # (..., N, K) weighted unit array responses
-    nlos_ris_user: np.ndarray   # (..., K) scatter weights, 0 at index 0
+    mean_ris_user: np.ndarray   # (..., N, K) RIS->user means
+    std_ris_user: np.ndarray    # (..., K) scatter amplitudes, 0 at index 0
 
 
 def _rician_weights(k_linear):
@@ -140,7 +138,9 @@ class LinkGeometry(NamedTuple):
     """The part of large_scale that depends on neither the UAV nor the tilt.
 
     Shapes after the layout's leading batch axes (...): M APs, U GUEs and
-    N RIS elements, where N bounds the RIS sizes it can serve.
+    N RIS elements, where N bounds the RIS sizes it can serve.  The
+    AP->GUE amplitudes depend on the tilt, so those links keep their
+    weights; the RIS->GUE legs are stored as in LargeScaleParams.
     """
 
     theta_gue: np.ndarray       # (..., M, U) AP->GUE elevations, degrees
@@ -150,9 +150,8 @@ class LinkGeometry(NamedTuple):
     theta_ris: np.ndarray       # (..., M) AP->RIS elevations, degrees
     pl_ap_ris: np.ndarray       # (..., M) AP->RIS d^-alpha gains
     a_ap_ris: np.ndarray        # (..., M, N) unit AP->RIS array responses
-    beta_ris_gue: np.ndarray    # (..., U) RIS->GUE amplitudes
-    los_ris_gue: np.ndarray     # (..., N, U) weighted unit array responses
-    nlos_ris_gue: np.ndarray    # (..., U) scatter weights
+    mean_ris_gue: np.ndarray    # (..., N, U) RIS->GUE means
+    std_ris_gue: np.ndarray     # (..., U) RIS->GUE scatter amplitudes
 
 
 def _direct_links(ap, users, lam):
@@ -166,15 +165,16 @@ def _direct_links(ap, users, lam):
     return d_3d, theta, los_w * np.exp(-1j * 2.0 * np.pi * d_3d / lam), nlos
 
 
-def _ris_user_links(ris, users, n_elems, lam):
-    """Distances, Rician weights and (..., N, K') array responses of RIS ->
+def _ris_user_links(ris, users, cfg: SimConfig, n_elems):
+    """Amplitudes, Rician weights and (..., N, K') array responses of RIS ->
     user links."""
     from_ris = users - ris
     d = np.sqrt(np.sum(from_ris ** 2, axis=-1))
     los_w, nlos = _rician_weights(rician_k_linear(d))
     a = np.swapaxes(array_response(
-        n_elems, from_ris / _nonzero(d)[..., None], d, lam), -1, -2)
-    return d, los_w, nlos, a
+        n_elems, from_ris / _nonzero(d)[..., None], d, cfg.wavelength_m),
+        -1, -2)
+    return np.sqrt(pathloss_simple_linear(d, cfg)), los_w, nlos, a
 
 
 def link_geometry(layout: NetworkLayout, cfg: SimConfig) -> LinkGeometry:
@@ -191,16 +191,16 @@ def link_geometry(layout: NetworkLayout, cfg: SimConfig) -> LinkGeometry:
     a_ap_ris = array_response(
         cfg.n_ris, (ap - ris) / _nonzero(d_ap_ris)[..., None], d_ap_ris, lam)
 
-    d_ris_gue, los_w, nlos_ris_gue, a_ris_gue = _ris_user_links(
-        ris, layout.gue_pos, cfg.n_ris, lam)
+    beta_ris_gue, los_w, nlos_ris_gue, a_ris_gue = _ris_user_links(
+        ris, layout.gue_pos, cfg, cfg.n_ris)
     return LinkGeometry(
         theta_gue=theta_gue, hata_db_gue=pathloss_gue_db(d_gue, cfg),
         los_direct_gue=los_direct_gue, nlos_direct_gue=nlos_direct_gue,
         theta_ris=np.degrees(np.arctan2(ap[..., 2] - ris[2], d_h_ris)),
         pl_ap_ris=pathloss_simple_linear(d_ap_ris, cfg), a_ap_ris=a_ap_ris,
-        beta_ris_gue=np.sqrt(pathloss_simple_linear(d_ris_gue, cfg)),
-        los_ris_gue=los_w[..., None, :] * a_ris_gue,
-        nlos_ris_gue=nlos_ris_gue)
+        mean_ris_gue=beta_ris_gue[..., None, :]
+        * (los_w[..., None, :] * a_ris_gue),
+        std_ris_gue=beta_ris_gue * nlos_ris_gue)
 
 
 def _uav_first(uav, gue):
@@ -236,28 +236,26 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig,
 
     d_uav, theta_uav, los_direct_uav, nlos_direct_uav = _direct_links(
         layout.ap_pos, uav, lam)
-    zeta = _uav_first(
-        10.0 ** (antenna_gain_db(theta_uav, tilt) / 10.0)
-        * pathloss_simple_linear(d_uav, cfg),
-        10.0 ** ((antenna_gain_db(geo.theta_gue, tilt) + geo.hata_db_gue)
-                 / 10.0))
+    beta_uav = np.sqrt(10.0 ** (antenna_gain_db(theta_uav, tilt) / 10.0)
+                       * pathloss_simple_linear(d_uav, cfg))
+    beta_gue = np.sqrt(10.0 ** ((antenna_gain_db(geo.theta_gue, tilt)
+                                 + geo.hata_db_gue) / 10.0))
     beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(geo.theta_ris, tilt)
                                    / 10.0) * geo.pl_ap_ris)
 
-    # the RIS -> UAV leg is pure LoS: los weight 1, scatter weight 0
-    d_ris_uav, _, _, a_ris_uav = _ris_user_links(
-        layout.ris_pos, uav, n_ris, lam)
+    # the RIS -> UAV leg is pure LoS: its mean is the whole channel
+    beta_ris_uav, _, _, a_ris_uav = _ris_user_links(
+        layout.ris_pos, uav, cfg, n_ris)
     return LargeScaleParams(
-        beta_direct=np.sqrt(zeta),
-        los_direct=_uav_first(los_direct_uav, geo.los_direct_gue),
-        nlos_direct=_uav_first(nlos_direct_uav, geo.nlos_direct_gue),
+        mean_direct=_uav_first(beta_uav * los_direct_uav,
+                               beta_gue * geo.los_direct_gue),
+        std_direct=_uav_first(beta_uav * nlos_direct_uav,
+                              beta_gue * geo.nlos_direct_gue),
         H_ris=beta_ap_ris[..., None] * geo.a_ap_ris[..., :n_ris],
-        beta_ris_user=_uav_first(
-            np.sqrt(pathloss_simple_linear(d_ris_uav, cfg)),
-            geo.beta_ris_gue),
-        los_ris_user=_uav_first(a_ris_uav, geo.los_ris_gue[..., :n_ris, :]),
-        nlos_ris_user=_uav_first(np.zeros_like(d_ris_uav),
-                                 geo.nlos_ris_gue))
+        mean_ris_user=_uav_first(beta_ris_uav[..., None, :] * a_ris_uav,
+                                 geo.mean_ris_gue[..., :n_ris, :]),
+        std_ris_user=_uav_first(np.zeros_like(beta_ris_uav),
+                                geo.std_ris_gue))
 
 
 class ChannelSet(NamedTuple):
@@ -287,24 +285,24 @@ def complex_normals(rng, shape) -> np.ndarray:
 
 
 def draw_channels(ls: LargeScaleParams, scatter) -> ChannelSet:
-    """One Rician realization h = beta * (los + nlos * z) of every link.
+    """One Rician realization h = mean + std * z of every link.
 
     ``scatter`` is a Generator or the unit scatter (z_direct, z_ris_user)
     drawn beforehand with the shapes of ``ls`` (for stacked parameters,
     one draw per realization, stacked).  From a Generator the direct
     scatter is drawn first, then the RIS->user scatter (none when the RIS
     has no elements), so results are reproducible from the generator
-    state alone.  The RIS->UAV column has no scatter weight and is the
-    same for every draw.
+    state alone.  The RIS->UAV column has no scatter and is the same for
+    every draw.
     """
     if isinstance(scatter, np.random.Generator):
-        scatter = (complex_normals(scatter, ls.beta_direct.shape),
-                   complex_normals(scatter, ls.los_ris_user.shape))
+        scatter = (complex_normals(scatter, ls.mean_direct.shape),
+                   complex_normals(scatter, ls.mean_ris_user.shape))
     z_direct, z_ris_user = scatter
-    h_direct = ls.beta_direct * (ls.los_direct + ls.nlos_direct * z_direct)
-    h_ris_user = ls.beta_ris_user[..., None, :] * (
-        ls.los_ris_user + ls.nlos_ris_user[..., None, :] * z_ris_user)
-    return ChannelSet(h_direct=h_direct, h_ris_user=h_ris_user)
+    return ChannelSet(
+        h_direct=ls.mean_direct + ls.std_direct * z_direct,
+        h_ris_user=ls.mean_ris_user
+        + ls.std_ris_user[..., None, :] * z_ris_user)
 
 
 def combine_paths(h_direct, H_ris, v, h_ris_user):
@@ -323,7 +321,7 @@ def aggregate_channel(ls: LargeScaleParams, cs: ChannelSet,
     with no RIS elements the sum is empty and G equals the direct matrix.
     Leading batch axes of the channels and of v are carried through.
     """
-    v = np.asarray(ris.v, dtype=complex)
+    v = ris.v
     n_ris = ls.H_ris.shape[-1]
     if v.shape[-1] != n_ris or cs.h_ris_user.shape[-2] != n_ris:
         raise ConfigError(

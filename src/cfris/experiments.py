@@ -169,7 +169,7 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
     degenerate.
     """
     ls = ls._replace(H_ris=ls.H_ris[..., :n_ris],
-                     los_ris_user=ls.los_ris_user[..., :n_ris, :])
+                     mean_ris_user=ls.mean_ris_user[..., :n_ris, :])
     cs = cs._replace(h_ris_user=cs.h_ris_user[..., :n_ris, :])
     ris = ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0],
                         cs.h_direct[..., 0])

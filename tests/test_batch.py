@@ -51,7 +51,7 @@ def _assert_same(stacked, single):
 def _prefix(ls, cs, n_ris):
     # the RIS prefix of a larger realization, sliced as the pipeline does
     ls = ls._replace(H_ris=ls.H_ris[..., :n_ris],
-                     los_ris_user=ls.los_ris_user[..., :n_ris, :])
+                     mean_ris_user=ls.mean_ris_user[..., :n_ris, :])
     return ls, cs._replace(h_ris_user=cs.h_ris_user[..., :n_ris, :])
 
 
@@ -86,8 +86,7 @@ def test_stage_functions_match_per_trial_calls(n_ris):
     _assert_same(ls, _stack([s["ls"] for s in single]))
     _assert_same(cs, _stack([s["cs"] for s in single]))
     ris = ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0], cs.h_direct[..., 0])
-    if n_ris:
-        _assert_same(ris.v, _stack([s["v"] for s in single]))
+    _assert_same(ris.v, _stack([s["v"] for s in single]))
     G = aggregate_channel(ls, cs, ris)
     _assert_same(G, _stack([s["G"] for s in single]))
     gamma = gamma_analytic(ls, ris)

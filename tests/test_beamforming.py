@@ -95,23 +95,27 @@ class TestGammaAnalytic:
         return layout, large_scale(layout, cfg)
 
     def test_no_ris_equals_beta_squared(self):
-        # gamma = beta^2 for any Rician factor once the RIS term is absent
+        # gamma = beta^2 = |mean|^2 + std^2 for any Rician factor once the
+        # RIS term is absent
         cfg = SimConfig(n_ris=0)
         _, ls = self._ls(cfg, 0)
-        gamma = gamma_analytic(ls, RisConfig.none())
-        assert np.allclose(gamma, ls.beta_direct ** 2, rtol=1e-12)
+        gamma = gamma_analytic(ls, RisConfig(v=np.zeros(0)))
+        assert np.allclose(gamma, np.abs(ls.mean_direct) ** 2
+                           + ls.std_direct ** 2, rtol=1e-12)
 
     def test_no_ris_rayleigh_and_los_limits(self):
         cfg = SimConfig(n_ris=0)
         _, ls = self._ls(cfg, 1)
-        phasors = ls.los_direct / np.abs(ls.los_direct)
-        rayleigh = ls._replace(los_direct=np.zeros_like(phasors),
-                               nlos_direct=np.ones_like(ls.nlos_direct))
-        los = ls._replace(los_direct=phasors,
-                          nlos_direct=np.zeros_like(ls.nlos_direct))
+        # the link power beta^2 all in the scatter, then all in the mean
+        beta = np.sqrt(np.abs(ls.mean_direct) ** 2 + ls.std_direct ** 2)
+        phasors = ls.mean_direct / np.abs(ls.mean_direct)
+        rayleigh = ls._replace(mean_direct=np.zeros_like(phasors),
+                               std_direct=beta)
+        los = ls._replace(mean_direct=beta * phasors,
+                          std_direct=np.zeros_like(beta))
         for ls_k in (rayleigh, los):
-            gamma = gamma_analytic(ls_k, RisConfig.none())
-            assert np.allclose(gamma, ls.beta_direct ** 2, rtol=1e-12)
+            gamma = gamma_analytic(ls_k, RisConfig(v=np.zeros(0)))
+            assert np.allclose(gamma, beta ** 2, rtol=1e-12)
 
     def test_matches_monte_carlo_second_moment(self):
         from cfris import aggregate_channel
@@ -187,7 +191,7 @@ class TestRisConfig:
             RisConfig(v=np.array([0.5 + 0j]))
 
     def test_empty_allowed(self):
-        assert RisConfig.none().v.size == 0
+        assert RisConfig(v=np.zeros(0)).v.size == 0
 
     def test_unit_modulus_tolerance(self):
         # |v| may differ from 1 by at most 1e-9 + 1e-5

@@ -9,6 +9,8 @@ from cfris import (ConfigError, NetworkLayout, RisConfig, SimConfig,
                    draw_channels, large_scale, pathloss_gue_db,
                    pathloss_simple_linear, place_nodes, rician_k_linear)
 from cfris.channel import ChannelSet
+from cfris.experiments import _draw, trial_rng
+from reference_pipeline import _links
 
 CFG = SimConfig()
 
@@ -135,16 +137,17 @@ def _single_link_layout(cfg, gue_pos, uav_pos):
 
 class TestLargeScale:
     def test_boresight_unit_distance_gue(self):
-        # GUE exactly 1 m away on the boresight (theta = tilt): beta^2
-        # equals the Hata gain at 1 m with no antenna penalty.
+        # GUE exactly 1 m away on the boresight (theta = tilt): the link
+        # power |mean|^2 + std^2 equals the Hata gain at 1 m with no
+        # antenna penalty.
         cfg = SimConfig(m_ap=1, n_gue=1)
         tilt = math.radians(cfg.tilt_deg)
         gue = [math.cos(tilt), 0.0, cfg.h_ap - math.sin(tilt)]
         layout = _single_link_layout(cfg, gue, [30.0, 30.0, cfg.h_uav])
         ls = large_scale(layout, cfg)
         expected = 10 ** (pathloss_gue_db(1.0, cfg) / 10.0)
-        assert ls.beta_direct[0, 1] ** 2 == pytest.approx(expected,
-                                                          rel=1e-12)
+        power = abs(ls.mean_direct[0, 1]) ** 2 + ls.std_direct[0, 1] ** 2
+        assert power == pytest.approx(expected, rel=1e-12)
 
     def test_uav_straight_overhead(self):
         # theta = -90 clips the pattern at -20 dB, then the power law at 85 m
@@ -152,8 +155,9 @@ class TestLargeScale:
         layout = _single_link_layout(cfg, [5.0, 5.0, cfg.h_gue],
                                      [0.0, 0.0, 100.0])
         ls = large_scale(layout, cfg)
-        assert ls.beta_direct[0, 0] ** 2 == \
-            pytest.approx(1e-2 * 85.0 ** (-2.4) * 1e-3, rel=1e-12)
+        power = abs(ls.mean_direct[0, 0]) ** 2 + ls.std_direct[0, 0] ** 2
+        assert power == pytest.approx(1e-2 * 85.0 ** (-2.4) * 1e-3,
+                                      rel=1e-12)
 
     def test_ris_uav_amplitude_ap_independent(self):
         cfg_a = SimConfig(m_ap=2, master_seed=4)
@@ -164,15 +168,18 @@ class TestLargeScale:
         lb = place_nodes(cfg_b, np.random.default_rng(2))
         la = la._replace(uav_pos=uav)
         lb = lb._replace(uav_pos=uav)
-        assert large_scale(la, cfg_a).beta_ris_user[0] == \
-            large_scale(lb, cfg_b).beta_ris_user[0]
+        assert np.array_equal(large_scale(la, cfg_a).mean_ris_user[:, 0],
+                              large_scale(lb, cfg_b).mean_ris_user[:, 0])
 
     def test_ris_uav_leg_is_pure_los(self):
         layout = place_nodes(CFG, np.random.default_rng(0))
         ls = large_scale(layout, CFG)
-        assert ls.nlos_ris_user[0] == 0.0
-        assert np.all(np.abs(ls.los_ris_user[:, 0]) == pytest.approx(1.0))
-        assert np.all(ls.nlos_ris_user[1:] > 0.0)
+        # the whole RIS->UAV power is in its mean, equal at every element
+        d = np.linalg.norm(layout.uav_pos - layout.ris_pos)
+        assert ls.std_ris_user[0] == 0.0
+        assert np.all(np.abs(ls.mean_ris_user[:, 0]) ** 2 == pytest.approx(
+            pathloss_simple_linear(d, CFG)))
+        assert np.all(ls.std_ris_user[1:] > 0.0)
 
     def test_node_on_the_ris_sees_it_broadside(self):
         # zero distance has no direction: finite responses, no NaN
@@ -182,25 +189,67 @@ class TestLargeScale:
             cfg, [5.0, 5.0, cfg.h_gue], ris)._replace(ap_pos=np.array([ris]))
         ls = large_scale(layout, cfg)
         assert np.all(np.isfinite(ls.H_ris))
-        assert np.all(np.isfinite(ls.los_ris_user))
-        assert np.allclose(ls.los_ris_user[:, 0], ls.los_ris_user[0, 0])
+        assert np.all(np.isfinite(ls.mean_ris_user))
+        assert np.allclose(ls.mean_ris_user[:, 0], ls.mean_ris_user[0, 0])
 
     def test_all_amplitudes_nonnegative(self):
         layout = place_nodes(CFG, np.random.default_rng(3))
         ls = large_scale(layout, CFG)
-        assert np.all(ls.beta_direct >= 0)
-        assert np.all(ls.beta_ris_user >= 0)
-        assert np.all(ls.nlos_direct >= 0)
-        assert np.all(ls.nlos_ris_user >= 0)
+        assert np.all(ls.std_direct >= 0)
+        assert np.all(ls.std_ris_user >= 0)
 
     def test_los_entries_unit_modulus(self):
         layout = place_nodes(CFG, np.random.default_rng(6))
         ls = large_scale(layout, CFG)
-        # unit-modulus LoS phasors: LoS and scatter weights split unit power
-        assert np.allclose(np.abs(ls.los_direct) ** 2 + ls.nlos_direct ** 2,
-                           1.0)
-        assert np.allclose(np.abs(ls.los_ris_user) ** 2
-                           + ls.nlos_ris_user ** 2, 1.0)
+        # unit-modulus LoS phasors: mean and scatter split the link power
+        # by the Rician factor, and a RIS->user link holds the power of
+        # its d^-alpha law at every element
+        users = np.vstack([layout.uav_pos, layout.gue_pos])
+        d_direct = np.linalg.norm(users[None, :, :]
+                                  - layout.ap_pos[:, None, :], axis=-1)
+        assert np.allclose(np.abs(ls.mean_direct) ** 2 / ls.std_direct ** 2,
+                           rician_k_linear(d_direct))
+        d_ris = np.linalg.norm(users - layout.ris_pos, axis=-1)
+        assert np.allclose(np.abs(ls.mean_ris_user) ** 2
+                           + ls.std_ris_user ** 2,
+                           pathloss_simple_linear(d_ris, CFG))
+
+
+class TestLinksMatchReference:
+    """Each link's mean and scatter power against the loop-level oracle."""
+
+    CFG = SimConfig(m_ap=6, n_gue=3, n_ris=8, master_seed=11)
+
+    @staticmethod
+    def _assert_matches(ls, ref):
+        for got, want in ((ls.mean_direct, ref["los_direct"]),
+                          (ls.std_direct ** 2, ref["var_direct"]),
+                          (ls.mean_ris_user, ref["los_ru"]),
+                          (ls.std_ris_user ** 2, ref["var_ru"]),
+                          (ls.H_ris, ref["H_ris"])):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("trial_index", [0, 3, 17])
+    def test_single_layout(self, trial_index):
+        cfg = self.CFG
+        layout = place_nodes(cfg, trial_rng(cfg.master_seed, trial_index))
+        self._assert_matches(large_scale(layout, cfg),
+                             _links(cfg, trial_index))
+
+    def test_stacked_heights(self):
+        # (heights, trials) UAV positions over one batch of layouts
+        cfg, trials, heights = self.CFG, range(2, 6), (40.0, 300.0)
+        layout, _ = _draw(cfg, trials)
+        uav_pos = np.repeat(layout.uav_pos[None], len(heights), axis=0)
+        uav_pos[..., 2] = np.array(heights)[:, None]
+        ls = large_scale(layout._replace(uav_pos=uav_pos), cfg)
+        for h, h_uav in enumerate(heights):
+            for row, t in enumerate(trials):
+                self._assert_matches(
+                    ls._replace(**{f: getattr(ls, f)[h, row]
+                                   for f in ls._fields if f != "H_ris"},
+                                H_ris=ls.H_ris[row]),
+                    _links(cfg.with_overrides(h_uav=h_uav), t))
 
 
 class TestDrawChannels:
@@ -208,9 +257,9 @@ class TestDrawChannels:
         cfg = SimConfig(m_ap=2, n_gue=2, n_ris=4)
         layout = place_nodes(cfg, np.random.default_rng(1))
         ls = large_scale(layout, cfg)
-        ls_los = ls._replace(nlos_direct=np.zeros_like(ls.nlos_direct))
+        ls_los = ls._replace(std_direct=np.zeros_like(ls.std_direct))
         cs = draw_channels(ls_los, np.random.default_rng(9))
-        assert np.array_equal(cs.h_direct, ls.beta_direct * ls.los_direct)
+        assert np.array_equal(cs.h_direct, ls.mean_direct)
 
     def test_h_ris_deterministic_across_seeds(self):
         layout = place_nodes(CFG, np.random.default_rng(1))
@@ -221,17 +270,18 @@ class TestDrawChannels:
         assert not np.array_equal(a.h_direct, b.h_direct)
 
     def test_second_moment_matches_beta_squared(self):
-        # E|h|^2 = beta^2 for every direct link, checked at 1e5 draws
+        # E|h|^2 = beta^2 = |mean|^2 + std^2 for every direct link, checked
+        # at 1e5 draws
         cfg = SimConfig(m_ap=2, n_gue=1, n_ris=0)
         layout = place_nodes(cfg, np.random.default_rng(4))
         ls = large_scale(layout, cfg)
         rng = np.random.default_rng(1234)
         trials = 100_000
-        acc = np.zeros_like(ls.beta_direct)
+        power = np.abs(ls.mean_direct) ** 2 + ls.std_direct ** 2
+        acc = np.zeros_like(power)
         for _ in range(trials):
             acc += np.abs(draw_channels(ls, rng).h_direct) ** 2
-        rel = np.abs(acc / trials - ls.beta_direct ** 2) \
-            / ls.beta_direct ** 2
+        rel = np.abs(acc / trials - power) / power
         assert np.max(rel) < 0.02
 
 
@@ -250,7 +300,7 @@ class TestAggregateChannel:
         layout = place_nodes(cfg, np.random.default_rng(0))
         ls = large_scale(layout, cfg)
         cs = draw_channels(ls, np.random.default_rng(1))
-        g = aggregate_channel(ls, cs, RisConfig.none())
+        g = aggregate_channel(ls, cs, RisConfig(v=np.zeros(0)))
         assert np.array_equal(g, cs.h_direct)
 
     def test_single_term_arithmetic(self):

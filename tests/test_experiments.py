@@ -53,23 +53,6 @@ class TestRunTrial:
             assert np.all(np.isfinite(rate_bps(r, SMALL.bandwidth_hz)))
             assert np.all(r >= 0.0)
 
-    def test_pinned_trial_values(self):
-        # Trial 4 of seed 3 is drawn from SeedSequence(3, spawn_key=(4, 0));
-        # these values pin that stream and the arithmetic applied to it.
-        cfg = SimConfig(m_ap=5, n_gue=2, n_ris=6, master_seed=3)
-        r = run_trial(cfg, 4)
-        np.testing.assert_allclose(
-            rate_bps(r, cfg.bandwidth_hz)[0],
-            [13023772.651474953, 11286413.664331613, 10134065.805796774],
-            rtol=1e-12)
-        r0 = run_trial(cfg.with_overrides(n_ris=0), 4)
-        np.testing.assert_allclose(
-            rate_bps(r0, cfg.bandwidth_hz)[0],
-            [12075961.266997825, 11688602.857884252, 6758115.929857713],
-            rtol=1e-12)
-        assert ris_gain_db(r[0, 0], r0[0, 0]) == pytest.approx(
-            0.40463537910730485, rel=1e-12)
-
     def test_single_ap_within_coherent_bound(self):
         # GUE 4 has |G|^2 / gamma = 1.97 at the only AP: its SINR 0.786
         # exceeds the old cap p_d M^2 max|G|^2 / noise = 0.771, yet stays
@@ -163,6 +146,22 @@ class TestSweepEquivalence:
             assert np.array_equal(
                 ris_gain_db(res[:, 0], results[zero][:, 0]),
                 ris_gain_db(sinr[:, 0], refs[zero][1][:, 0]), equal_nan=True)
+
+    def test_pinned_trial_values(self):
+        # Trial 4 of seed 3 is drawn from SeedSequence(3, spawn_key=(4, 0));
+        # these values pin that stream and the arithmetic applied to it.
+        cfg = SimConfig(m_ap=5, n_gue=2, n_ris=6, master_seed=3, trials=5)
+        r, r0 = run_sweep([cfg, cfg.with_overrides(n_ris=0)])[:, 4]
+        np.testing.assert_allclose(
+            rate_bps(r, cfg.bandwidth_hz),
+            [13023772.651474953, 11286413.664331613, 10134065.805796774],
+            rtol=1e-12)
+        np.testing.assert_allclose(
+            rate_bps(r0, cfg.bandwidth_hz),
+            [12075961.266997825, 11688602.857884252, 6758115.929857713],
+            rtol=1e-12)
+        assert ris_gain_db(r[0], r0[0]) == pytest.approx(
+            0.40463537910730485, rel=1e-12)
 
     def test_ris_gain_pinned_values(self):
         rows = ris_gain_sweep(SMALL.with_overrides(trials=self.TRIALS),

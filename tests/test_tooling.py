@@ -1,6 +1,8 @@
 """The benchmark's tracer finds every cfris name it wraps and records the
 pipeline stages, in pool workers too; its workloads still run through the
-CLI, and their CSVs still match the benchmark's references."""
+CLI, and their CSVs still match the benchmark's references.  Every public
+name has a user."""
+import ast
 import gzip
 import importlib
 import json
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import cfris
 from cfris import cli
 
 # run_path compiles the source without writing a bytecode cache and does
@@ -38,6 +41,28 @@ def test_traced_name_resolves(module, path):
     for name in path.split("."):
         owner = getattr(owner, name)
     assert callable(owner)
+
+
+def _loaded_names(path):
+    """Every name a module reads, bare or as an attribute; definitions,
+    assignments and imports are not reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_name_is_used():
+    # a name in cfris.__all__ is read by the package outside its export
+    # list, by an acceptance criterion, or wrapped by the benchmark tracer
+    package = Path(cfris.__file__).parent
+    used = set().union(*(_loaded_names(path)
+                         for path in package.glob("*.py")
+                         if path.name != "__init__.py"))
+    used |= _loaded_names(Path(__file__).parent / "test_acceptance.py")
+    used |= {path.split(".")[0] for _, path, _ in CHILD["TARGETS"]}
+    assert sorted(set(cfris.__all__) - used) == []
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
