@@ -135,34 +135,30 @@ def _nonzero(d):
 
 
 class LinkGeometry(NamedTuple):
-    """The part of large_scale that depends on neither the UAV nor the tilt.
-
-    Shapes after the layout's leading batch axes (...): M APs, U GUEs and
-    N RIS elements, where N bounds the RIS sizes it can serve.  The
-    AP->GUE amplitudes depend on the tilt, so those links keep their
-    weights; the RIS->GUE legs are stored as in LargeScaleParams.
+    """The AP->GUE terms of large_scale that depend on neither the UAV
+    nor the tilt.  The tilt scales the amplitudes, so the Rician weights
+    are kept apart.  Shapes follow the layout's batch axes (...).
     """
 
     theta_gue: np.ndarray       # (..., M, U) AP->GUE elevations, degrees
     hata_db_gue: np.ndarray     # (..., M, U) AP->GUE Hata gains
     los_direct_gue: np.ndarray  # (..., M, U) weighted unit LoS phasors
     nlos_direct_gue: np.ndarray  # (..., M, U) scatter weights
-    theta_ris: np.ndarray       # (..., M) AP->RIS elevations, degrees
-    pl_ap_ris: np.ndarray       # (..., M) AP->RIS d^-alpha gains
-    a_ap_ris: np.ndarray        # (..., M, N) unit AP->RIS array responses
-    mean_ris_gue: np.ndarray    # (..., N, U) RIS->GUE means
-    std_ris_gue: np.ndarray     # (..., U) RIS->GUE scatter amplitudes
 
 
-def _direct_links(ap, users, lam):
-    """Distances, elevations and Rician LoS parts of AP -> user links."""
+def _direct_links(ap, users):
+    """Distances and elevations of AP -> user links, (..., M, K')."""
     delta = users[..., None, :, :] - ap[..., :, None, :]
     d_h = np.hypot(delta[..., 0], delta[..., 1])
-    d_3d = np.sqrt(d_h ** 2 + delta[..., 2] ** 2)
     theta = np.degrees(np.arctan2(ap[..., :, None, 2]
                                   - users[..., None, :, 2], d_h))
-    los_w, nlos = _rician_weights(rician_k_linear(d_3d))
-    return d_3d, theta, los_w * np.exp(-1j * 2.0 * np.pi * d_3d / lam), nlos
+    return np.sqrt(d_h ** 2 + delta[..., 2] ** 2), theta
+
+
+def _rician_los(d, lam):
+    """Weighted unit LoS phasors and scatter weights of Rician links."""
+    los_w, nlos = _rician_weights(rician_k_linear(d))
+    return los_w * np.exp(-1j * 2.0 * np.pi * d / lam), nlos
 
 
 def _ris_user_links(ris, users, cfg: SimConfig, n_elems):
@@ -178,29 +174,13 @@ def _ris_user_links(ris, users, cfg: SimConfig, n_elems):
 
 
 def link_geometry(layout: NetworkLayout, cfg: SimConfig) -> LinkGeometry:
-    """Every large-scale term of a layout that depends on neither the UAV
-    position nor the antenna tilt, at cfg.n_ris elements."""
-    ap, ris, lam = layout.ap_pos, layout.ris_pos, cfg.wavelength_m
-    d_gue, theta_gue, los_direct_gue, nlos_direct_gue = _direct_links(
-        ap, layout.gue_pos, lam)
-
-    # AP -> RIS (deterministic LoS, antenna-weighted d^-alpha law)
-    to_ris = ris - ap
-    d_h_ris = np.hypot(to_ris[..., 0], to_ris[..., 1])
-    d_ap_ris = np.sqrt(d_h_ris ** 2 + to_ris[..., 2] ** 2)
-    a_ap_ris = array_response(
-        cfg.n_ris, (ap - ris) / _nonzero(d_ap_ris)[..., None], d_ap_ris, lam)
-
-    beta_ris_gue, los_w, nlos_ris_gue, a_ris_gue = _ris_user_links(
-        ris, layout.gue_pos, cfg, cfg.n_ris)
+    """The AP->GUE terms of a layout, which depend on neither the UAV
+    position nor the antenna tilt."""
+    d_gue, theta_gue = _direct_links(layout.ap_pos, layout.gue_pos)
+    los_direct_gue, nlos_direct_gue = _rician_los(d_gue, cfg.wavelength_m)
     return LinkGeometry(
         theta_gue=theta_gue, hata_db_gue=pathloss_gue_db(d_gue, cfg),
-        los_direct_gue=los_direct_gue, nlos_direct_gue=nlos_direct_gue,
-        theta_ris=np.degrees(np.arctan2(ap[..., 2] - ris[2], d_h_ris)),
-        pl_ap_ris=pathloss_simple_linear(d_ap_ris, cfg), a_ap_ris=a_ap_ris,
-        mean_ris_gue=beta_ris_gue[..., None, :]
-        * (los_w[..., None, :] * a_ris_gue),
-        std_ris_gue=beta_ris_gue * nlos_ris_gue)
+        los_direct_gue=los_direct_gue, nlos_direct_gue=nlos_direct_gue)
 
 
 def _uav_first(uav, gue):
@@ -221,41 +201,48 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig,
     """Evaluate every pathloss, antenna weight, Rician weight and LoS phase.
 
     ``geometry`` is ``link_geometry`` of a layout with the same APs and
-    GUEs at cfg.n_ris or more elements; None computes it here.  Only the
-    UAV's links and the tilt-dependent antenna gains are then evaluated,
-    so layouts that differ only in the UAV height, and configs that
-    differ only in the tilt, share one geometry.  A stacked layout gives
-    stacked parameters, each entry bit-identical to the parameters of its
-    own layout.  The UAV position may carry more leading axes than the
-    APs and GUEs (say, one UAV height per row): only the fields that
-    depend on the UAV carry them, and ``H_ris`` is computed once for all.
+    GUEs; None computes it here.  The UAV's links, the RIS legs at
+    cfg.n_ris elements and the tilt's antenna gains are evaluated here.
+    A stacked layout gives stacked parameters, each entry bit-identical
+    to the parameters of its own layout.  The UAV position may carry more
+    leading axes than the APs and GUEs (say, one UAV height per row):
+    only the fields that depend on the UAV carry them.
     """
     n_ris, tilt, lam = cfg.n_ris, cfg.tilt_deg, cfg.wavelength_m
+    ap, ris = layout.ap_pos, layout.ris_pos
     geo = link_geometry(layout, cfg) if geometry is None else geometry
     uav = layout.uav_pos[..., None, :]           # (..., 1, 3)
 
-    d_uav, theta_uav, los_direct_uav, nlos_direct_uav = _direct_links(
-        layout.ap_pos, uav, lam)
+    d_uav, theta_uav = _direct_links(ap, uav)
+    los_direct_uav, nlos_direct_uav = _rician_los(d_uav, lam)
     beta_uav = np.sqrt(10.0 ** (antenna_gain_db(theta_uav, tilt) / 10.0)
                        * pathloss_simple_linear(d_uav, cfg))
     beta_gue = np.sqrt(10.0 ** ((antenna_gain_db(geo.theta_gue, tilt)
                                  + geo.hata_db_gue) / 10.0))
-    beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(geo.theta_ris, tilt)
-                                   / 10.0) * geo.pl_ap_ris)
+
+    # AP -> RIS (deterministic LoS, antenna-weighted d^-alpha law), with
+    # the RIS as the one user: (..., M, 1) terms
+    d_ap_ris, theta_ris = _direct_links(ap, ris[None, :])
+    beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(theta_ris, tilt) / 10.0)
+                          * pathloss_simple_linear(d_ap_ris, cfg))
+    a_ap_ris = array_response(n_ris, (ap - ris) / _nonzero(d_ap_ris),
+                              d_ap_ris[..., 0], lam)
 
     # the RIS -> UAV leg is pure LoS: its mean is the whole channel
-    beta_ris_uav, _, _, a_ris_uav = _ris_user_links(
-        layout.ris_pos, uav, cfg, n_ris)
+    beta_ris_uav, _, _, a_ris_uav = _ris_user_links(ris, uav, cfg, n_ris)
+    beta_ris_gue, los_w, nlos_ris_gue, a_ris_gue = _ris_user_links(
+        ris, layout.gue_pos, cfg, n_ris)
     return LargeScaleParams(
         mean_direct=_uav_first(beta_uav * los_direct_uav,
                                beta_gue * geo.los_direct_gue),
         std_direct=_uav_first(beta_uav * nlos_direct_uav,
                               beta_gue * geo.nlos_direct_gue),
-        H_ris=beta_ap_ris[..., None] * geo.a_ap_ris[..., :n_ris],
-        mean_ris_user=_uav_first(beta_ris_uav[..., None, :] * a_ris_uav,
-                                 geo.mean_ris_gue[..., :n_ris, :]),
+        H_ris=beta_ap_ris * a_ap_ris,
+        mean_ris_user=_uav_first(
+            beta_ris_uav[..., None, :] * a_ris_uav,
+            beta_ris_gue[..., None, :] * (los_w[..., None, :] * a_ris_gue)),
         std_ris_user=_uav_first(np.zeros_like(beta_ris_uav),
-                                geo.std_ris_gue))
+                                beta_ris_gue * nlos_ris_gue))
 
 
 class ChannelSet(NamedTuple):

@@ -17,30 +17,31 @@ The sweep points of a study share their draws; they may differ only in
 n_ris, kappa, h_uav and tilt_deg.  Trial index t of every point uses the
 same substream, which is drawn once per study: the node positions, then
 the unit scatter of the direct links, then that of the RIS->user links at
-the study's largest element count (the draws of a smaller RIS are a
-prefix of those of a larger one).  The unit of work is a batch of
-consecutive trial indices, drawn and evaluated as stacked arrays, each
-entry bit-identical to its own trial's.  A batch draws each trial in two
-calls on its substream, one for all coordinates and one for all scatter,
-into one row of two buffers, and computes once every large-scale term
-that depends on neither the UAV height nor the tilt (link_geometry).
-The points are grouped by tilt once per study.  A group's distinct UAV
-heights are one more leading axis, before the trial axis, that only the
-terms of the UAV carry: each group computes the UAV's links at all its
-heights and the tilt's antenna gains once (H_ris and the GUE gains have
-no height axis), so its stage arrays hold its height count times the
-batch's trials.  Every (RIS size, kappa) point of the group is then
-evaluated on the same channels at every height of the group, kappa
-entering only the power split and the SINR.  The engine evaluates only
-the points it is given; ris_gain_sweep adds the zero-element point that
-pairs each RIS gain.  A study runs its batches in turn, or maps them
-over one process pool when it has more than one worker, and each batch
-writes its trials into the sweep's one (points, trials, K) array of
-per-user SINR as it arrives.  The studies take rates from that array.
+the study's largest element count.  Every RIS quantity is element-wise
+in n, so a smaller RIS is a prefix of a larger one; only this module
+slices RIS sizes.  The unit of work is a batch of consecutive trial
+indices, drawn and evaluated as stacked arrays, each entry bit-identical
+to its own trial's.  A batch draws each trial in two calls on its
+substream, one for all coordinates and one for all scatter, into one row
+of two buffers, and computes once the AP->GUE links (link_geometry).
+The points are grouped by tilt once per study.  Each group computes, at
+its largest RIS size, the AP->RIS and RIS->user legs, the tilt's antenna
+gains and the UAV's links at all its heights, one more leading axis,
+before the trial axis, that only the terms of the UAV carry: a group's
+stage arrays hold its height count times the batch's trials.  Every
+(RIS size, kappa) point of the group is then evaluated on a prefix of
+the same channels at every height, kappa entering only the power split
+and the SINR.  The engine evaluates only the points it is given;
+ris_gain_sweep adds the zero-element point that pairs each RIS gain.  A
+study runs its batches in turn, or maps them over one process pool when
+it has more than one worker, and each batch writes its trials into the
+sweep's one (points, trials, K) array of per-user SINR as it arrives.
+The studies take rates from that array.
 """
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -244,33 +245,52 @@ def _plan_chunks(points, workers: int):
     A batch is a contiguous run of trial indices, as many as fit in
     BATCH_ELEMENTS = trials * M * (N_max + K) (at least one).  Forking
     more processes than batches or usable CPUs buys nothing, so the pool
-    is min(workers, batches, CPUs).
+    is min(workers, batches, CPUs).  The sweep's memory is checked
+    before the batches are listed.
     """
     p = max(points, key=lambda q: q.n_ris)
     size = max(1, BATCH_ELEMENTS // (p.m_ap * (p.n_ris + p.n_users)))
-    batches = [range(start, min(start + size, p.trials))
-               for start in range(0, p.trials, size)]
+    starts = range(0, p.trials, size)
     # the scheduler functions exist only on some Unix platforms
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, min(workers, len(batches), cpus)), batches
+    procs = max(1, min(workers, len(starts), cpus))
+    _check_memory(points, procs * min(size, p.trials))
+    return procs, [range(start, min(start + size, p.trials))
+                   for start in starts]
 
 
-def _check_memory(points):
-    """Reject a sweep whose results cannot fit in physical memory.
+def _check_memory(points, in_flight: int):
+    """Reject a sweep that cannot fit in physical memory.
 
-    The sweep keeps one float64 SINR per point, trial and user.
+    The sweep keeps one float64 SINR per point, trial and user, and each
+    of the ``in_flight`` trials evaluated at once holds its working set.
     """
     names = getattr(os, "sysconf_names", {})
     if "SC_PHYS_PAGES" not in names or "SC_PAGE_SIZE" not in names:
         return
     p = points[0]
-    need = len(points) * p.trials * p.n_users * 8
+    results = len(points) * p.trials * p.n_users * 8
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
+    if results > have:
         raise ConfigError(
             f"trials: {p.trials} per point at {len(points)} points need "
-            f"{need / 2 ** 30:.3g} GiB for their results, more than the "
+            f"{results / 2 ** 30:.3g} GiB for their results, more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory")
+    m, n, k = p.m_ap, max(q.n_ris for q in points), p.n_users
+    h = max(Counter(t for t, _ in {(q.tilt_deg, q.h_uav)
+                                   for q in points}).values())
+    # Complex elements of one trial, each term counted as often as the
+    # pipeline holds it at once (a lower bound, measured): the draw and
+    # the AP, RIS and user links; per UAV height of a tilt group, the
+    # alignment product (M x N) and the K x K SINR matrix.
+    work = in_flight * 16 * (m * n + h * (6 * m * k + 3 * n * k + m * n
+                                          + k * k))
+    if results + work > have:
+        raise ConfigError(
+            f"sweep: {in_flight} trial(s) at once, each at {m} APs, {k} "
+            f"users, {n} RIS elements and {h} UAV height(s), need "
+            f"{(results + work) / 2 ** 30:.3g} GiB, more than the "
             f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
@@ -292,7 +312,6 @@ def run_sweep(points, *, workers: int = 1) -> np.ndarray:
                 and len({getattr(p, field) for p in points}) > 1:
             raise ConfigError(f"{field}: sweep points may differ only in "
                               f"{', '.join(PER_POINT_FIELDS)}")
-    _check_memory(points)
     procs, batches = _plan_chunks(points, workers)
     groups = _groups(points)
     tasks = [(groups, batch) for batch in batches]

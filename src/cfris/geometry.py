@@ -83,6 +83,9 @@ class SimConfig:
             _check(getattr(self, key) > 0, key, "must be > 0")
         for key in ("n_ris", "h_ris", "h_gue", "h_uav"):
             _check(getattr(self, key) >= 0, key, "must be >= 0")
+        # d_h ** 2 + dz ** 2 must not overflow; ris_x lies in [0, area_side]
+        for key in ("area_side", "h_ap", "h_ris", "h_gue", "h_uav"):
+            _check(getattr(self, key) <= 1e150, key, "must be <= 1e150")
         # the RIS sits on the y = 0 edge of the area
         _check(0.0 <= self.ris_x <= self.area_side, "ris_x",
                "must be in [0, area_side]")

@@ -153,9 +153,9 @@ HEIGHTS = (0.0, CFG.h_ris, 300.0)
 @pytest.mark.parametrize("h_uav", HEIGHTS)
 @pytest.mark.parametrize("n_ris", [CFG.n_ris, 3, 0])
 def test_group_pass_matches_large_scale(h_uav, tilt, n_ris):
-    # one geometry at the largest RIS serves every tilt group, and a
-    # group without RIS under it, as in cdf's sweep; the group's heights
-    # are one leading axis, and row h is that height's pass
+    # one geometry, the AP->GUE links, serves every tilt group and RIS
+    # size, as in cdf's sweep; the group's heights are one leading axis,
+    # and row h is that height's pass
     layout, _ = experiments._draw(CFG, range(T))
     geometry = link_geometry(layout, CFG)
     cfg = CFG.with_overrides(tilt_deg=tilt, n_ris=n_ris)
@@ -168,6 +168,17 @@ def test_group_pass_matches_large_scale(h_uav, tilt, n_ris):
         got = getattr(stacked, f)
         assert np.array_equal(got if f == "H_ris" else got[row],
                               getattr(single, f)), f
+
+
+def test_geometry_without_ris_serves_a_ris_group():
+    # the geometry holds no RIS term, so one drawn at n_ris = 0 serves a
+    # group with a RIS exactly as large_scale's own
+    layout, _ = experiments._draw(CFG, range(T))
+    geometry = link_geometry(layout, CFG.with_overrides(n_ris=0))
+    _assert_same(large_scale(layout, CFG, geometry),
+                 large_scale(layout, CFG))
+    assert geometry._fields == ("theta_gue", "hata_db_gue",
+                                "los_direct_gue", "nlos_direct_gue")
 
 
 def test_gain_matches_per_trial_calls():

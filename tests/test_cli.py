@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfris import ConfigError, SimConfig
+from cfris import ConfigError, SimConfig, experiments
 from cfris.cli import _COLUMNS, _csv_text, _fmt, load_config, main, run
 from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_HEIGHTS,
                                DEFAULT_KAPPAS, DEFAULT_N_LIST, ExperimentSpec)
@@ -429,6 +429,54 @@ class TestMain:
         assert "invalid configuration: trials:" in err
         assert "physical memory" in err and "Traceback" not in err
         assert not (tmp_path / "rate_region.csv").exists()
+
+    @pytest.mark.skipif(
+        not {"SC_PHYS_PAGES", "SC_PAGE_SIZE"}
+        <= set(getattr(os, "sysconf_names", ())),
+        reason="physical memory size unknown")
+    @pytest.mark.parametrize("config, flags", [
+        ("m_ap = 100000000\n", []),
+        ("", ["--n-ris", "1000000000"]),
+        ("n_gue = 100000\n", []),
+    ], ids=["m_ap", "n_ris", "n_gue"])
+    def test_trial_beyond_memory_exit_1(self, tmp_path, capsys, monkeypatch,
+                                        config, flags):
+        # one trial's working set (1.5 GiB of draw buffers, an 80 GB
+        # scatter buffer, a 160 GB K x K product) used to end in an
+        # _ArrayMemoryError traceback
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "_draw", no_draw)
+        # as on a host with 8 GiB of physical memory, whatever this one has
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: (
+            2 ** 33 // sysconf("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
+            else sysconf(name)))
+        path = tmp_path / "big.cfg"
+        path.write_text(config)
+        started = time.monotonic()
+        code = main(["--config", str(path), "--experiment", "cdf",
+                     "--trials", "20", *flags, "--out", str(tmp_path)])
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration: sweep:" in err
+        assert "physical memory" in err and "Traceback" not in err
+        assert not (tmp_path / "rate_cdf.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [
+        ["--experiment", "cdf", "--uav-height", "1e200"],
+        ["--experiment", "ris-gain", "--n-ris", "20", "--heights", "1e200"],
+    ], ids=["uav-height", "heights"])
+    def test_length_beyond_1e150_exit_1(self, tmp_path, capsys, flags):
+        # d_h**2 + dz**2 overflowed to inf, and numpy warned before the
+        # run failed
+        code = main([*flags, "--trials", "20", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be <= 1e150" in err
 
     def test_one_process_run_loads_no_pool(self, tmp_path):
         # the process pool is imported only by a run that forks

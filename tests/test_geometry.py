@@ -45,6 +45,10 @@ class TestSimConfig:
         # accepted (trials then failed in the chunk plan)
         {"area_side": 10**400}, {"trials": 10**400}, {"m_ap": 10**400},
         {"n_ris": 2**63},
+        # a length above 1e150 used to overflow d_h**2 + dz**2 to inf and
+        # print a numpy warning before the run failed
+        {"area_side": 1.01e150}, {"h_ap": 1e200}, {"h_ris": 1e151},
+        {"h_gue": 1e151}, {"h_uav": 1e200}, {"area_side": 10**300},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
@@ -54,7 +58,11 @@ class TestSimConfig:
         # master_seed keeps its own range, up to 2**64 - 1
         assert SimConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
         assert SimConfig(n_ris=2**63 - 1).n_ris == 2**63 - 1
-        assert SimConfig(area_side=10**300).area_side == 10**300
+        assert SimConfig(bandwidth_hz=10**300).bandwidth_hz == 10**300
+        # every length may reach 1e150
+        lengths = dict.fromkeys(("area_side", "h_ap", "h_ris", "h_gue",
+                                 "h_uav", "ris_x"), 1e150)
+        assert SimConfig(**lengths).ris_x == 1e150
 
     def test_accepts_numpy_numbers(self):
         cfg = SimConfig(m_ap=np.int64(4), n_ris=np.int32(3),

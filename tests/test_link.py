@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfris import rate_bps, ris_gain_db, sinr_all
+from cfris import ppa_allocate, rate_bps, ris_gain_db, sinr_all
 
 
 def _random_system(rng, m, k):
@@ -66,6 +66,31 @@ class TestSinrAll:
         eta_hi[:, 0] *= 3.0
         hi = sinr_all(g, w, eta_hi, 0.7)
         assert hi[0] > lo[0]
+
+
+
+@pytest.mark.parametrize("c", [3.0 - 4.0j, 0.2j, -1e-3 + 2e-3j])
+@pytest.mark.parametrize("kappa", [0.02, 0.5, 0.97])
+def test_uav_channel_power_alone_is_capped(c, kappa):
+    # Scaling the UAV's column of G by c, and its gamma by |c|^2, gives
+    # the UAV SINR |c|^2 S / (|c|^2 I + N) and moves no GUE SINR: a RIS
+    # that only adds UAV channel power gains at most 10 log10(1 + N / I).
+    rng = np.random.default_rng(11)
+    m, k, noise = 6, 4, 0.7
+    g = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    gamma = np.abs(g) ** 2 + rng.uniform(0.1, 1.0, size=(m, k))
+    eta = ppa_allocate(gamma, kappa, 1.0).eta
+    a = g.T @ (np.sqrt(eta) * np.conj(g))   # a[0, k'] = UAV gain of beam k'
+    s, i = abs(a[0, 0]) ** 2, np.sum(np.abs(a[0, 1:]) ** 2)
+    base = sinr_all(g, np.conj(g), eta, noise)
+    g_c, gamma_c = g.copy(), gamma.copy()
+    g_c[:, 0] *= c
+    gamma_c[:, 0] *= abs(c) ** 2
+    got = sinr_all(g_c, np.conj(g_c),
+                   ppa_allocate(gamma_c, kappa, 1.0).eta, noise)
+    c2 = abs(c) ** 2
+    assert got[0] == pytest.approx(c2 * s / (c2 * i + noise), rel=1e-12)
+    np.testing.assert_allclose(got[1:], base[1:], rtol=1e-12, atol=0)
 
 
 class TestRateBps:
