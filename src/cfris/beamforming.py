@@ -48,16 +48,20 @@ def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
     """Phase the RIS toward the UAV.
 
     With R = H_ris diag(h_ris_uav), element n gets
-    v_n = exp(-j angle([R^T conj(h_uav)]_n)) so reflected paths add
-    constructively with the direct AP-UAV paths.  A zero coefficient leaves
-    the phase at 0 (it cannot affect the product).  Shapes: H_ris
-    (..., M, N), h_ris_uav (..., N), h_uav (..., M).
+    v_n = exp(-j angle(t_n)), t = R^T conj(h_uav), so reflected paths add
+    constructively with the direct AP-UAV paths.  t is formed as
+    h_ris_uav * (H_ris^T conj(h_uav)), which never builds R: H_ris may
+    carry fewer leading axes than the UAV terms (say, none for the UAV
+    heights) and is broadcast over them.  A zero or subnormal t_n leaves
+    the phase at 0: it cannot affect the product, and 1/|t_n| would
+    overflow.  Shapes: H_ris (..., M, N), h_ris_uav (..., N), h_uav
+    (..., M).
     """
-    r = H_ris * h_ris_uav[..., None, :]
-    t = (np.swapaxes(r, -1, -2) @ np.conj(h_uav)[..., None])[..., 0]
+    t = h_ris_uav * (np.swapaxes(H_ris, -1, -2)
+                     @ np.conj(h_uav)[..., None])[..., 0]
     mag = np.abs(t)
     v = np.ones_like(t)
-    nz = mag > 0.0
+    nz = mag >= np.finfo(float).tiny
     v[nz] = np.conj(t[nz]) / mag[nz]
     return RisConfig(v=v)
 

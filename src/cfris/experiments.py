@@ -68,10 +68,10 @@ SWEEPS = {"kappas": "kappa", "n_list": "n_ris", "heights": "h_uav"}
 MIN_RATE_95_SAMPLES = 20
 # The only fields in which the points of one sweep may differ.
 PER_POINT_FIELDS = ("n_ris", "kappa", "h_uav", "tilt_deg")
-# Complex elements per batch of trials, counted as trials * M * (N_max + K):
-# 12 trials at M = 20, N = 60, K = 5, and 32 at N = 20.  Larger batches
-# are a little faster but hold more memory.
-BATCH_ELEMENTS = 2 ** 14
+# Working-set bytes of one batch, counted by _trial_bytes: 12 trials at
+# the acceptance ris-gain shape (M = 20, N = 60, K = 5, 3 UAV heights).
+# Larger batches are a little faster but hold more memory.
+BATCH_BYTES = 12 * 92_400
 
 
 @dataclass(frozen=True)
@@ -239,32 +239,49 @@ def _run_chunk(args) -> np.ndarray:
     return sinr
 
 
+def _trial_bytes(points) -> int:
+    """Working-set bytes of one trial of a sweep, each term counted as
+    often as the pipeline holds it at once (a lower bound, measured).
+
+    16 B per complex element: the draw and the AP, RIS and user links,
+    M N and, per UAV height of a tilt group, 6 M K + 3 N K; per height
+    also the K x K SINR matrix.  N is the sweep's largest RIS.
+    """
+    p = points[0]
+    m, n, k = p.m_ap, max(q.n_ris for q in points), p.n_users
+    h = max(Counter(t for t, _ in {(q.tilt_deg, q.h_uav)
+                                   for q in points}).values())
+    return 16 * (m * n + h * (6 * m * k + 3 * n * k + k * k))
+
+
 def _plan_chunks(points, workers: int):
     """Worker processes and the batches of trial indices of one sweep.
 
-    A batch is a contiguous run of trial indices, as many as fit in
-    BATCH_ELEMENTS = trials * M * (N_max + K) (at least one).  Forking
-    more processes than batches or usable CPUs buys nothing, so the pool
-    is min(workers, batches, CPUs).  The sweep's memory is checked
-    before the batches are listed.
+    A batch is a contiguous run of trial indices.  The trials are split
+    evenly over as few batches as keep each within BATCH_BYTES of
+    _trial_bytes (a batch holds at least one trial).  Forking more
+    processes than batches or usable CPUs buys nothing, so the pool is
+    min(workers, batches, CPUs).  The sweep's memory is checked before
+    the batches are listed.
     """
-    p = max(points, key=lambda q: q.n_ris)
-    size = max(1, BATCH_ELEMENTS // (p.m_ap * (p.n_ris + p.n_users)))
-    starts = range(0, p.trials, size)
+    trials = points[0].trials
+    size = max(1, BATCH_BYTES // _trial_bytes(points))
+    count = -(-trials // size)
     # the scheduler functions exist only on some Unix platforms
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    procs = max(1, min(workers, len(starts), cpus))
-    _check_memory(points, procs * min(size, p.trials))
-    return procs, [range(start, min(start + size, p.trials))
-                   for start in starts]
+    procs = max(1, min(workers, count, cpus))
+    _check_memory(points, procs * -(-trials // count))
+    bounds = [i * trials // count for i in range(count + 1)]
+    return procs, [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_memory(points, in_flight: int):
     """Reject a sweep that cannot fit in physical memory.
 
     The sweep keeps one float64 SINR per point, trial and user, and each
-    of the ``in_flight`` trials evaluated at once holds its working set.
+    of the ``in_flight`` trials evaluated at once (one batch per process)
+    holds _trial_bytes.
     """
     names = getattr(os, "sysconf_names", {})
     if "SC_PHYS_PAGES" not in names or "SC_PAGE_SIZE" not in names:
@@ -277,21 +294,13 @@ def _check_memory(points, in_flight: int):
             f"trials: {p.trials} per point at {len(points)} points need "
             f"{results / 2 ** 30:.3g} GiB for their results, more than the "
             f"{have / 2 ** 30:.3g} GiB of physical memory")
-    m, n, k = p.m_ap, max(q.n_ris for q in points), p.n_users
-    h = max(Counter(t for t, _ in {(q.tilt_deg, q.h_uav)
-                                   for q in points}).values())
-    # Complex elements of one trial, each term counted as often as the
-    # pipeline holds it at once (a lower bound, measured): the draw and
-    # the AP, RIS and user links; per UAV height of a tilt group, the
-    # alignment product (M x N) and the K x K SINR matrix.
-    work = in_flight * 16 * (m * n + h * (6 * m * k + 3 * n * k + m * n
-                                          + k * k))
-    if results + work > have:
+    per_trial = _trial_bytes(points)
+    if results + in_flight * per_trial > have:
         raise ConfigError(
-            f"sweep: {in_flight} trial(s) at once, each at {m} APs, {k} "
-            f"users, {n} RIS elements and {h} UAV height(s), need "
-            f"{(results + work) / 2 ** 30:.3g} GiB, more than the "
-            f"{have / 2 ** 30:.3g} GiB of physical memory")
+            f"sweep: {in_flight} trial(s) at once, at "
+            f"{per_trial / 2 ** 30:.3g} GiB each, need "
+            f"{(results + in_flight * per_trial) / 2 ** 30:.3g} GiB, more "
+            f"than the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def run_sweep(points, *, workers: int = 1) -> np.ndarray:

@@ -92,6 +92,16 @@ class SimConfig:
         _check(0.0 <= self.kappa <= 1.0, "kappa", "must be in [0, 1]")
         _check(0 <= self.master_seed < 2**64, "master_seed",
                "must fit in 64 bits")
+        # A passive link cannot amplify.  rho is the d^-alpha gain at the
+        # 1 m clamp; the Hata AP->GUE gain falls with distance, and no
+        # layout puts a GUE nearer an AP than max(1 m, |h_ap - h_gue|).
+        _check(self.rho_db <= 0.0, "rho_db", "must be <= 0 dB")
+        from .channel import pathloss_gue_db   # channel imports this module
+        d_min = max(1.0, abs(self.h_ap - self.h_gue))
+        gain_db = float(pathloss_gue_db(d_min, self))
+        _check(gain_db <= 0.0, "h_ap, h_gue, carrier_freq_hz",
+               f"give a COST-231 Hata AP->GUE gain of {gain_db:.3g} dB "
+               f"at {d_min:.3g} m; it must be <= 0 dB")
 
     @property
     def n_users(self) -> int:

@@ -12,7 +12,8 @@ from cfris import (ConfigError, NetworkLayout, SimConfig, aggregate_channel,
                    sinr_all)
 from cfris import experiments
 from cfris.channel import complex_normals, link_geometry
-from cfris.experiments import _coherent_cap, _sanity_check, run_sweep
+from cfris.experiments import (_coherent_cap, _sanity_check, _trial_bytes,
+                               run_sweep)
 
 CFG = SimConfig(m_ap=6, n_gue=3, n_ris=8, kappa=0.2, master_seed=5,
                 trials=25)
@@ -250,10 +251,10 @@ def test_batch_size_does_not_change_results(monkeypatch, batch_sizes, batch,
                                             workers):
     default = run_sweep(POINTS)
     batch_sizes.clear()
-    # a budget of `batch` trials at the largest RIS; 25 trials in batches
-    # of 3 leave a short last batch
-    per_trial = CFG.m_ap * (CFG.n_ris + CFG.n_users)
-    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch * per_trial)
+    # a budget of `batch` trials of the sweep; 25 trials in batches of at
+    # most 3 leave some shorter ones
+    monkeypatch.setattr(experiments, "BATCH_BYTES",
+                        batch * _trial_bytes(POINTS))
     got = run_sweep(POINTS, workers=workers)
     if workers == 1:
         assert max(batch_sizes) == batch
@@ -270,8 +271,8 @@ def test_every_point_matches_its_own_sweep(monkeypatch, batch, workers):
     # a point evaluated at every height of its tilt, and at the RIS sizes
     # and kappas of the other heights, gives exactly its results alone
     alone = [run_sweep([p])[0] for p in MIXED]
-    per_trial = CFG.m_ap * (CFG.n_ris + CFG.n_users)
-    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch * per_trial)
+    monkeypatch.setattr(experiments, "BATCH_BYTES",
+                        batch * _trial_bytes(MIXED))
     got = run_sweep(MIXED, workers=workers)
     for a, b in zip(alone, got, strict=True):
         assert np.array_equal(a, b)
@@ -300,7 +301,8 @@ def test_groups_are_formed_once_per_sweep(monkeypatch):
     run_sweep(POINTS)
     one_batch = dict(calls)
     calls.clear()
-    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", 1)   # 25 batches
+    # batches of one trial: 25
+    monkeypatch.setattr(experiments, "BATCH_BYTES", _trial_bytes(POINTS))
     run_sweep(POINTS)
     assert calls == one_batch
     # one group per tilt: tilt 15 holds two heights, tilt -5 one

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,38 @@ class TestRisAlignUav:
         h0 = np.array([1.0 + 0j])
         v = ris_align_uav(H, hru, h0).v
         assert v[0] == 1.0 + 0j
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_coefficient_gets_zero_phase(self):
+        # 1 / |t| of a subnormal t used to overflow and leave a
+        # non-unit-modulus coefficient, a ConfigError
+        H = np.array([[1e-160 + 0j, 1.0 + 0j]])
+        hru = np.array([1e-160 + 0j, 1j])
+        v = ris_align_uav(H, hru, np.array([1.0 + 0j])).v
+        assert v[0] == 1.0 + 0j and v[1] == -1j
+
+    def test_does_not_stack_the_alignment_product(self):
+        # 3 UAV heights over 10 trials at M = 20, N = 60: H_ris carries
+        # only the trial axis, and the call allocates less than one
+        # (heights, trials, M, N) complex array
+        rng = np.random.default_rng(4)
+
+        def normals(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        H, hru = normals(10, 20, 60), normals(3, 10, 60)
+        h0 = normals(3, 10, 20)
+        ris_align_uav(H, hru, h0)   # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            v = ris_align_uav(H, hru, h0).v
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert v.shape == (3, 10, 60)
+        assert peak < 3 * 10 * 20 * 60 * 16
 
     def test_beats_quantized_exhaustive_search(self):
         # M=2, N=2, received power for the given (pre-RIS) precoder

@@ -478,6 +478,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be <= 1e150" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config, message", [
+        ("h_gue = 2000\n", "Hata AP->GUE gain of 5.66e+03 dB"),
+        ("rho_db = 3000\n", "rho_db: must be <= 0 dB"),
+        ("carrier_freq_hz = 1e-100\n", "Hata AP->GUE gain of 3.59e+03 dB"),
+    ], ids=["h_gue", "rho_db", "carrier_freq_hz"])
+    def test_amplifying_link_exit_1(self, tmp_path, capsys, config,
+                                    message):
+        # a link gain above 0 dB overflowed in large_scale: 5-6 numpy
+        # warnings, then a RuntimeError traceback from the SINR check
+        path = tmp_path / "amp.cfg"
+        path.write_text(config)
+        code = main(["--config", str(path), "--experiment", "cdf",
+                     "--trials", "20", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_one_process_run_loads_no_pool(self, tmp_path):
         # the process pool is imported only by a run that forks
         script = ("import sys\n"

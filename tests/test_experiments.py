@@ -1,20 +1,19 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfris import (ConfigError, ExperimentSpec, SimConfig, likely_rate_95,
-                   rate_bps, rate_cdf, rate_region, ris_gain_db,
-                   ris_gain_sweep, run_trial, run_trials)
+from cfris import (ConfigError, ExperimentSpec, SimConfig, SimulationError,
+                   likely_rate_95, rate_bps, rate_cdf, rate_region,
+                   ris_gain_db, ris_gain_sweep, run_trial, run_trials)
 from cfris import experiments
 from cfris.experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
                                DEFAULT_N_LIST, MIN_RATE_95_SAMPLES,
-                               _plan_chunks,
+                               _plan_chunks, _trial_bytes,
                                run_experiment, run_sweep, scenario_label)
 
 SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, trials=40, master_seed=11)
-# complex elements of one SMALL trial at its largest RIS: M * (N + K)
-SMALL_TRIAL_ELEMENTS = 6 * (8 + 4)
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
 
@@ -61,6 +60,14 @@ class TestRunTrial:
         rates = rate_bps(run_trial(cfg, 57), cfg.bandwidth_hz)
         assert np.all(np.isfinite(rates))
         assert np.all(rates >= 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_alignment_is_a_degenerate_geometry(self):
+        # a RIS point without its N = 0 partner, the UAV 1e128 m up: the
+        # alignment coefficients are subnormal, and 1 / |t| used to
+        # overflow and end in "RIS coefficients must be unit modulus"
+        with pytest.raises(SimulationError, match="degenerate geometry"):
+            run_sweep([SimConfig(h_uav=1e128, n_ris=20, trials=20)])
 
 
 def _per_point(cfg, trials):
@@ -175,9 +182,10 @@ class TestSweepEquivalence:
         scenarios = ((0.1, 15.0, False), (0.33, -5.0, False),
                      (0.1, 15.0, True))
         cfg = SMALL.with_overrides(trials=30)
-        # batches of 4 trials, so that two processes share the 30
-        monkeypatch.setattr(experiments, "BATCH_ELEMENTS",
-                            4 * SMALL_TRIAL_ELEMENTS)
+        # batches of 4 trials, so that two processes share the 30; the
+        # cdf points hold one UAV height per tilt, as cfg alone does
+        monkeypatch.setattr(experiments, "BATCH_BYTES",
+                            4 * _trial_bytes([cfg]))
         procs, batches = _plan_chunks([cfg], 2)
         assert len(batches) == 8 and procs == min(2, CPUS)
         serial = rate_cdf(cfg, scenarios=scenarios, workers=1)
@@ -189,8 +197,8 @@ class TestWorkers:
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = SMALL.with_overrides(trials=24)
         # batches of 4 trials, so that the pool gets more than one
-        monkeypatch.setattr(experiments, "BATCH_ELEMENTS",
-                            4 * SMALL_TRIAL_ELEMENTS)
+        monkeypatch.setattr(experiments, "BATCH_BYTES",
+                            4 * _trial_bytes([cfg]))
         procs, batches = _plan_chunks([cfg], 4)
         assert len(batches) == 6 and procs == min(4, CPUS)
         serial = run_trials(cfg, workers=1)
@@ -228,11 +236,14 @@ class TestWorkers:
         assert _plan_chunks([SMALL], 1)[0] == 1
 
     def test_batches_hold_at_most_the_element_budget(self):
-        # SMALL at N = 8: 16384 // 72 = 227 trials per batch; the largest
-        # RIS of the sweep sets the budget
+        # SMALL at N = 8 holds 4864 B per trial, so 227 trials fit
+        # BATCH_BYTES; the largest RIS of the sweep sets the size, and the
+        # 500 trials are split evenly over ceil(500 / 227) = 3 batches
         points = [SMALL.with_overrides(trials=500, n_ris=n) for n in (0, 8)]
+        assert _trial_bytes(points) == 4864
         _, batches = _plan_chunks(points, 1)
-        assert [len(b) for b in batches] == [227, 227, 46]
+        assert [len(b) for b in batches] == [166, 167, 167]
+        assert [i for b in batches for i in b] == list(range(500))
 
     def test_runs_without_sched_getaffinity(self, monkeypatch):
         # the scheduler functions exist only on some Unix platforms; every
@@ -242,6 +253,61 @@ class TestWorkers:
         assert 1 <= procs <= (os.cpu_count() or 1)
         res = run_trials(SMALL.with_overrides(trials=3), workers=2)
         assert res.shape == (3, SMALL.n_users)
+
+
+def _study_points(monkeypatch, kind, **base):
+    """The sweep points that the study ``kind`` passes to run_sweep, at
+    its default sweeps."""
+    seen = []
+
+    def capture(points, *, workers=1):
+        seen.append(points)
+        return np.ones((len(points), points[0].trials, points[0].n_users))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "run_sweep", capture)
+        run_experiment(ExperimentSpec(kind=kind, base=SimConfig(**base)))
+    return seen[0]
+
+
+class TestBatchPlan:
+    @pytest.mark.parametrize("kind, trials, workers, sizes", [
+        # the benchmark's ris-gain workload: 4 batches of 10, not 12, 12,
+        # 12 and 4
+        ("ris-gain", 40, 1, [10] * 4),
+        # acceptance scale: 12 trials at N = 60 and 3 heights fill
+        # BATCH_BYTES; N = 20 and N = 30 at one height hold more
+        ("ris-gain", 2000, 1, [11] * 4 + [12] * 163),
+        ("cdf", 2000, 2, [51] * 28 + [52] * 11),
+        ("rate-region", 2000, 1, [40] * 9 + [41] * 40),
+    ])
+    def test_acceptance_plans(self, monkeypatch, kind, trials, workers,
+                              sizes):
+        points = _study_points(monkeypatch, kind, trials=trials)
+        procs, batches = _plan_chunks(points, workers)
+        assert procs == min(workers, CPUS)
+        assert sorted(len(b) for b in batches) == sizes
+        assert [i for b in batches for i in b] == list(range(trials))
+
+    @pytest.mark.parametrize("kind", ["rate-region", "cdf", "ris-gain"])
+    def test_trial_bytes_bound_the_measured_working_set(self, monkeypatch,
+                                                        kind):
+        # tracemalloc peak of one 10-trial batch, per trial: the model is
+        # a lower bound, so _check_memory never rejects a sweep that fits,
+        # and within 2.5x of it, so a stage that grows the batch shows
+        points = _study_points(monkeypatch, kind, trials=40)
+        task = (experiments._groups(points), range(10))
+        experiments._run_chunk(task)   # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            experiments._run_chunk(task)
+            per_trial = (tracemalloc.get_traced_memory()[1] - base) / 10
+        finally:
+            tracemalloc.stop()
+        model = _trial_bytes(points)
+        assert model <= per_trial <= 2.5 * model
 
 
 class TestLikelyRate95:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cfris import (ConfigError, SimConfig, SimulationError, experiments,
                    rate_bps)
-from cfris.experiments import run_sweep
+from cfris.experiments import _trial_bytes, run_sweep
 from reference_pipeline import reference_trial
 
 # The accepted domain, with the boundaries SimConfig rejects (h_ap = 0,
@@ -97,11 +97,9 @@ def _sweep_or_none(points):
 @given(sweeps())
 def test_sweep_matches_oracle_and_each_point_alone(sweep):
     points, budget = sweep
-    # a batch budget of 1-3 trials at the sweep's largest RIS
-    per_trial = points[0].m_ap * (max(p.n_ris for p in points)
-                                  + points[0].n_users)
+    # a batch budget of 1-3 trials of the sweep
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "BATCH_ELEMENTS", budget * per_trial)
+        mp.setattr(experiments, "BATCH_BYTES", budget * _trial_bytes(points))
         got = _sweep_or_none(points)
         alone = [_sweep_or_none([p]) for p in points]
     # a degenerate draw fails the sweep and the point alone alike

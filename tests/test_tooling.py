@@ -112,11 +112,12 @@ def test_ris_gain_heights_share_one_pass(tmp_path):
 
 
 def test_pool_workers_ship_their_spans(tmp_path):
-    # 40 cdf-w2 trials at N = 20 make 2 batches, one per pool process;
-    # each worker appends its spans to a file that the tracer merges
+    # 60 cdf-w2 trials at N = 20 make 2 batches of 30 (52 fit one), one
+    # per pool process; each worker appends its spans to a file that the
+    # tracer merges
     if CPUS < 2:
         pytest.skip("needs two usable CPUs for a pool of two")
-    _, spec = _spec([*WORKLOADS["cdf-w2"].args, "--trials", "40",
+    _, spec = _spec([*WORKLOADS["cdf-w2"].args, "--trials", "60",
                      "--workers", "2"])
     tracer = CHILD["Tracer"](spans_dir=tmp_path)
     tracer.install()
