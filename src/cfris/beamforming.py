@@ -66,17 +66,33 @@ def ris_align_uav(H_ris: np.ndarray, h_ris_uav: np.ndarray,
     return RisConfig(v=v)
 
 
-def gamma_analytic(ls: LargeScaleParams, ris: RisConfig) -> np.ndarray:
+def ris_moments(ls: LargeScaleParams, ris: RisConfig, prefix=None):
+    """The two sums over RIS elements in gamma_analytic: the aggregate
+    channel of the link means mu (..., M, K) and sum_n |H_ris[m,n]|^2
+    (..., M).
+
+    ``prefix`` is the ris_moments of the RIS elements before those of
+    ``ls.H_ris``; the result then covers both.  None starts from the
+    direct means and an empty sum.
+    """
+    mu, h_sq = (ls.mean_direct, 0.0) if prefix is None else prefix
+    return (combine_paths(mu, ls.H_ris, ris.v, ls.mean_ris_user),
+            h_sq + np.sum(np.abs(ls.H_ris) ** 2, axis=-1))
+
+
+def gamma_analytic(ls: LargeScaleParams, ris: RisConfig,
+                   prefix=None) -> np.ndarray:
     """Closed-form second moment gamma[m,k] = E|g_{m,k}|^2 of the precoder.
 
     gamma = |mu|^2 + sigma^2: mu is the aggregate channel of the link
     means, and sigma^2 adds the direct scatter power std_direct^2 and the
     RIS->user scatter power std_ris_user^2 collected over the AP->RIS
     row, which unit-modulus coefficients reduce to sum_n |H_ris[m,n]|^2.
-    The RIS->UAV leg has no scatter power.
+    The RIS->UAV leg has no scatter power.  ``prefix`` is the ris_moments
+    of RIS elements before those of ``ls.H_ris``, as for ris_moments:
+    gamma is then that of all the elements.
     """
-    mu = combine_paths(ls.mean_direct, ls.H_ris, ris.v, ls.mean_ris_user)
-    h_sq = np.sum(np.abs(ls.H_ris) ** 2, axis=-1)
+    mu, h_sq = ris_moments(ls, ris, prefix)
     return np.abs(mu) ** 2 + ls.std_direct ** 2 \
         + ls.std_ris_user[..., None, :] ** 2 * h_sq[..., :, None]
 

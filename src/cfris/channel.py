@@ -90,15 +90,33 @@ def array_response(n_elems: int, node_dir, d_ref, wavelength: float):
     where cos(phi) is the x component of the unit direction toward the node.
     Nodes may be stacked: ``node_dir`` (..., 3) and ``d_ref`` (...) give
     responses (..., n_elems).
+
+    Element n is formed by doubling, as element 0 times the element step
+    exp(-j pi cos(phi)) raised to n: the elements [k, 2k) are the elements
+    [0, k) times step^k, and step^k is squared for the next round.  Only
+    two complex exponentials run per node, and each element is the same
+    product at every n_elems, so a smaller array is exactly a prefix of a
+    larger one.
     """
-    cos_phi = np.asarray(node_dir, dtype=float)[..., 0, None]
-    d_ref = np.asarray(d_ref, dtype=float)[..., None]
-    n = np.arange(n_elems)
-    # Phases are formed as real numbers, then made imaginary: a complex
-    # array divided by lambda rounds differently from a complex scalar, and
-    # at ~1e4 rad one ulp of phase shows in the SINR.
-    return np.exp(1j * (-2.0 * np.pi * d_ref / wavelength)) \
-        * np.exp(1j * (-np.pi * cos_phi * n))
+    cos_phi = np.asarray(node_dir, dtype=float)[..., 0]
+    d_ref = np.asarray(d_ref, dtype=float)
+    a = np.empty(np.broadcast_shapes(cos_phi.shape, d_ref.shape)
+                 + (n_elems,), dtype=complex)
+    if n_elems:
+        # Phases are formed as real numbers, then made imaginary: a complex
+        # array divided by lambda rounds differently from a complex
+        # scalar, and at ~1e4 rad one ulp of phase shows in the SINR.
+        a[..., 0] = np.exp(1j * (-2.0 * np.pi * d_ref / wavelength))
+    step = np.exp(1j * (-np.pi * cos_phi))[..., None]
+    k = 1
+    while k < n_elems:
+        # an assignment, not multiply(out=...): the latter rounds some
+        # products differently, which breaks the prefix and stacking rules
+        m = min(k, n_elems - k)
+        a[..., k:k + m] = a[..., :m] * step
+        step = step * step
+        k += m
+    return a
 
 
 class LargeScaleParams(NamedTuple):
@@ -167,9 +185,12 @@ def _ris_user_links(ris, users, cfg: SimConfig, n_elems):
     from_ris = users - ris
     d = np.sqrt(np.sum(from_ris ** 2, axis=-1))
     los_w, nlos = _rician_weights(rician_k_linear(d))
-    a = np.swapaxes(array_response(
-        n_elems, from_ris / _nonzero(d)[..., None], d, cfg.wavelength_m),
-        -1, -2)
+    if n_elems:
+        a = np.swapaxes(array_response(
+            n_elems, from_ris / _nonzero(d)[..., None], d, cfg.wavelength_m),
+            -1, -2)
+    else:
+        a = np.empty(d.shape[:-1] + (0, d.shape[-1]), dtype=complex)
     return np.sqrt(pathloss_simple_linear(d, cfg)), los_w, nlos, a
 
 
@@ -221,12 +242,16 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig,
                                  + geo.hata_db_gue) / 10.0))
 
     # AP -> RIS (deterministic LoS, antenna-weighted d^-alpha law), with
-    # the RIS as the one user: (..., M, 1) terms
-    d_ap_ris, theta_ris = _direct_links(ap, ris[None, :])
-    beta_ap_ris = np.sqrt(10.0 ** (antenna_gain_db(theta_ris, tilt) / 10.0)
-                          * pathloss_simple_linear(d_ap_ris, cfg))
-    a_ap_ris = array_response(n_ris, (ap - ris) / _nonzero(d_ap_ris),
-                              d_ap_ris[..., 0], lam)
+    # the RIS as the one user: (..., M, 1) terms; none without elements
+    if n_ris:
+        d_ap_ris, theta_ris = _direct_links(ap, ris[None, :])
+        beta_ap_ris = np.sqrt(
+            10.0 ** (antenna_gain_db(theta_ris, tilt) / 10.0)
+            * pathloss_simple_linear(d_ap_ris, cfg))
+        H_ris = beta_ap_ris * array_response(
+            n_ris, (ap - ris) / _nonzero(d_ap_ris), d_ap_ris[..., 0], lam)
+    else:
+        H_ris = np.empty(ap.shape[:-1] + (0,), dtype=complex)
 
     # the RIS -> UAV leg is pure LoS: its mean is the whole channel
     beta_ris_uav, _, _, a_ris_uav = _ris_user_links(ris, uav, cfg, n_ris)
@@ -237,7 +262,7 @@ def large_scale(layout: NetworkLayout, cfg: SimConfig,
                                beta_gue * geo.los_direct_gue),
         std_direct=_uav_first(beta_uav * nlos_direct_uav,
                               beta_gue * geo.nlos_direct_gue),
-        H_ris=beta_ap_ris * a_ap_ris,
+        H_ris=H_ris,
         mean_ris_user=_uav_first(
             beta_ris_uav[..., None, :] * a_ris_uav,
             beta_ris_gue[..., None, :] * (los_w[..., None, :] * a_ris_gue)),

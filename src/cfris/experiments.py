@@ -19,24 +19,28 @@ same substream, which is drawn once per study: the node positions, then
 the unit scatter of the direct links, then that of the RIS->user links at
 the study's largest element count.  Every RIS quantity is element-wise
 in n, so a smaller RIS is a prefix of a larger one; only this module
-slices RIS sizes.  The unit of work is a batch of consecutive trial
-indices, drawn and evaluated as stacked arrays, each entry bit-identical
-to its own trial's.  A batch draws each trial in two calls on its
+slices RIS sizes, in fixed blocks of RIS_BLOCK elements counted from
+element 0.  The unit of work is a batch of consecutive trial indices,
+drawn and evaluated as stacked arrays, each entry bit-identical to its
+own trial's.  A batch draws each trial in two calls on its
 substream, one for all coordinates and one for all scatter, into one row
 of two buffers, and computes once the AP->GUE links (link_geometry).
 The points are grouped by tilt once per study.  Each group computes, at
 its largest RIS size, the AP->RIS and RIS->user legs, the tilt's antenna
 gains and the UAV's links at all its heights, one more leading axis,
 before the trial axis, that only the terms of the UAV carry: a group's
-stage arrays hold its height count times the batch's trials.  Every
-(RIS size, kappa) point of the group is then evaluated on a prefix of
-the same channels at every height, kappa entering only the power split
-and the SINR.  The engine evaluates only the points it is given;
-ris_gain_sweep adds the zero-element point that pairs each RIS gain.  A
-study runs its batches in turn, or maps them over one process pool when
-it has more than one worker, and each batch writes its trials into the
-sweep's one (points, trials, K) array of per-user SINR as it arrives.
-The studies take rates from that array.
+stage arrays hold its height count times the batch's trials.  The group
+then makes one pass over its RIS elements, block by block, adding each
+block's reflected terms to running totals; every (RIS size, kappa)
+point takes its SINR at every height from the totals of its whole
+blocks plus its own partial block, kappa entering only the power split
+and the SINR.  As the blocks depend on element indices alone, a point
+gets the same bits alone as in any sweep.  The engine evaluates only
+the points it is given; ris_gain_sweep adds the zero-element point that
+pairs each RIS gain.  A study runs its batches in turn, or maps them
+over one process pool when it has more than one worker, and each batch
+writes its trials into the sweep's one (points, trials, K) array of
+per-user SINR as it arrives.  The studies take rates from that array.
 """
 from __future__ import annotations
 
@@ -47,7 +51,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .beamforming import gamma_analytic, ppa_allocate, ris_align_uav
+from .beamforming import (RisConfig, gamma_analytic, ppa_allocate,
+                          ris_align_uav, ris_moments)
 from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
                       complex_normals, draw_channels, large_scale,
                       link_geometry)
@@ -72,6 +77,8 @@ PER_POINT_FIELDS = ("n_ris", "kappa", "h_uav", "tilt_deg")
 # the acceptance ris-gain shape (M = 20, N = 60, K = 5, 3 UAV heights).
 # Larger batches are a little faster but hold more memory.
 BATCH_BYTES = 12 * 92_400
+# RIS elements per block of a group's pass over the RIS (see _evaluate).
+RIS_BLOCK = 10
 
 
 @dataclass(frozen=True)
@@ -124,11 +131,14 @@ def _coherent_cap(cfg: SimConfig, G: np.ndarray,
 
     With eta = p_dl / gamma and p_dl <= p_d, the triangle inequality caps
     user k's signal at p_d (sum_m |G[m,k]|^2 / sqrt(gamma[m,k]))^2, a
-    gamma = 0 term adding nothing.  Leading axes are batch axes.
+    gamma = 0 term adding nothing.  A signal power below the smallest
+    normal float has lost significant bits, in the cap as in the SINR, so
+    the cap never falls below it.  Leading axes are batch axes.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         coherent = np.where(gamma > 0.0, np.abs(G) ** 2 / np.sqrt(gamma), 0.0)
-    cap = cfg.p_d_w * np.sum(coherent, axis=-2) ** 2 / cfg.noise_power_w
+    signal = cfg.p_d_w * np.sum(coherent, axis=-2) ** 2
+    cap = np.maximum(signal, np.finfo(float).tiny) / cfg.noise_power_w
     return cap * (1.0 + 1e-9)
 
 
@@ -160,23 +170,61 @@ def _draw(cfg: SimConfig, trial_indices):
         complex_normals(normals[:, direct:], (n, k)))
 
 
-def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
-              n_ris: int, kappas) -> dict:
-    """Per-user SINR, (..., K), per kappa on the first n_ris RIS elements.
+def _block(ls: LargeScaleParams, cs: ChannelSet, start: int, stop: int):
+    """RIS elements [start, stop) of the links and channels, and their
+    phases toward the UAV.
 
-    Every RIS quantity is element-wise in n, so a prefix of a larger
-    realization is exactly the realization of the smaller RIS.  Leading
-    axes are batch axes.  Raises SimulationError when a drawn geometry is
-    degenerate.
+    Each element's phase depends on its own links and the direct UAV
+    channel alone, so a block can be phased on its own columns.
     """
-    ls = ls._replace(H_ris=ls.H_ris[..., :n_ris],
-                     mean_ris_user=ls.mean_ris_user[..., :n_ris, :])
-    cs = cs._replace(h_ris_user=cs.h_ris_user[..., :n_ris, :])
-    ris = ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0],
-                        cs.h_direct[..., 0])
-    G = aggregate_channel(ls, cs, ris)
+    ls = ls._replace(H_ris=ls.H_ris[..., start:stop],
+                     mean_ris_user=ls.mean_ris_user[..., start:stop, :])
+    cs = cs._replace(h_ris_user=cs.h_ris_user[..., start:stop, :])
+    return ls, cs, ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0],
+                                 cs.h_direct[..., 0])
+
+
+def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
+              evals) -> dict:
+    """Per-user SINR, (..., K), of each kappa of ``evals`` ({n_ris:
+    kappas}) on the first n_ris RIS elements: {n_ris: {kappa: SINR}}.
+
+    One pass over the RIS elements in blocks of RIS_BLOCK: each whole
+    block is phased toward the UAV once, and its reflected terms are added
+    to running totals of G and of the ris_moments of gamma.  A RIS size
+    takes its gamma, power split and SINR from the totals of its whole
+    blocks plus its own partial block.  The blocks start at fixed element
+    indices, whatever sizes are evaluated, so a size gets the same bits
+    in any sweep as alone.  Leading axes are batch axes.  Raises
+    SimulationError when a drawn geometry is degenerate.
+    """
+    G, moments, done = cs.h_direct, None, 0
+    # no element, the partial block of a size made of whole blocks
+    ls_0 = ls._replace(H_ris=ls.H_ris[..., :0],
+                       mean_ris_user=ls.mean_ris_user[..., :0, :])
+    ris_0 = RisConfig(v=np.empty(0))
+    out = {}
+    for n_ris in sorted(evals):
+        while done + RIS_BLOCK <= n_ris:
+            ls_b, cs_b, ris = _block(ls, cs, done, done + RIS_BLOCK)
+            G = aggregate_channel(ls_b, cs_b._replace(h_direct=G), ris)
+            moments = ris_moments(ls_b, ris, moments)
+            done += RIS_BLOCK
+        if done < n_ris:
+            ls_b, cs_b, ris = _block(ls, cs, done, n_ris)
+            out[n_ris] = _sinr(
+                cfg, aggregate_channel(ls_b, cs_b._replace(h_direct=G), ris),
+                gamma_analytic(ls_b, ris, moments), evals[n_ris])
+        else:
+            out[n_ris] = _sinr(cfg, G, gamma_analytic(ls_0, ris_0, moments),
+                               evals[n_ris])
+    return out
+
+
+def _sinr(cfg: SimConfig, G: np.ndarray, gamma: np.ndarray, kappas) -> dict:
+    """Per-user SINR, (..., K), of the channels G with second moments
+    gamma at each kappa: {kappa: SINR}."""
     W = np.conj(G)   # conjugate beamforming
-    gamma = gamma_analytic(ls, ris)
     cap = _coherent_cap(cfg, G, gamma)
     out = {}
     for kappa in kappas:
@@ -232,8 +280,7 @@ def _run_chunk(args) -> np.ndarray:
         uav_pos[..., 2] = heights[:, None]
         ls = large_scale(layout._replace(uav_pos=uav_pos), cfg, geometry)
         cs = draw_channels(ls, (z_direct, z_ris_user[..., :cfg.n_ris, :]))
-        out = {n_ris: _evaluate(cfg, ls, cs, n_ris, kappas)
-               for n_ris, kappas in evals.items()}
+        out = _evaluate(cfg, ls, cs, evals)
         for j, h, n_ris, kappa in members:
             sinr[j] = out[n_ris][kappa][h]
     return sinr

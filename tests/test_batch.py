@@ -278,6 +278,15 @@ def test_every_point_matches_its_own_sweep(monkeypatch, batch, workers):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("block", [1, 3])
+def test_every_point_matches_its_own_sweep_in_small_blocks(monkeypatch,
+                                                           block):
+    # RIS sizes 3 and 8 span whole blocks of 1 or 3 elements, and a part
+    # of one; the running totals over whole blocks serve every size
+    monkeypatch.setattr(experiments, "RIS_BLOCK", block)
+    test_every_point_matches_its_own_sweep(monkeypatch, 3, 2)
+
+
 def test_default_batch_holds_the_whole_chunk(batch_sizes):
     run_sweep(POINTS)
     # 25 trials fit one batch, drawn once and shared by every point

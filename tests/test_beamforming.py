@@ -7,6 +7,7 @@ import pytest
 from cfris import (ConfigError, RisConfig, SimConfig, SimulationError,
                    draw_channels, gamma_analytic, large_scale, place_nodes,
                    ppa_allocate, ris_align_uav)
+from cfris.beamforming import ris_moments
 
 
 def _random_instance(rng, m, n):
@@ -149,6 +150,29 @@ class TestGammaAnalytic:
         for ls_k in (rayleigh, los):
             gamma = gamma_analytic(ls_k, RisConfig(v=np.zeros(0)))
             assert np.allclose(gamma, beta ** 2, rtol=1e-12)
+
+    def test_prefix_moments_continue_the_sums(self):
+        # a RIS split into consecutive blocks: the ris_moments of the
+        # blocks before a block, as its prefix, give gamma of the whole RIS
+        cfg = SimConfig(m_ap=5, n_gue=2, n_ris=8)
+        _, ls = self._ls(cfg, 3)
+        cs = draw_channels(ls, np.random.default_rng(4))
+        ris = ris_align_uav(ls.H_ris, cs.h_ris_user[:, 0], cs.h_direct[:, 0])
+
+        def block(a, b):
+            return (ls._replace(H_ris=ls.H_ris[:, a:b],
+                                mean_ris_user=ls.mean_ris_user[a:b]),
+                    RisConfig(v=ris.v[a:b]))
+
+        moments = ris_moments(*block(0, 3))
+        moments = ris_moments(*block(3, 6), moments)
+        np.testing.assert_allclose(gamma_analytic(*block(6, 8), moments),
+                                   gamma_analytic(ls, ris), rtol=1e-13)
+        # no prefix: the moments start from the direct means
+        assert np.array_equal(gamma_analytic(*block(0, 8)),
+                              gamma_analytic(ls, ris))
+        mu, h_sq = ris_moments(*block(0, 0))
+        assert np.array_equal(mu, ls.mean_direct) and np.all(h_sq == 0.0)
 
     def test_matches_monte_carlo_second_moment(self):
         from cfris import aggregate_channel

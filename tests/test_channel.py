@@ -8,6 +8,7 @@ from cfris import (ConfigError, NetworkLayout, RisConfig, SimConfig,
                    aggregate_channel, antenna_gain_db, array_response,
                    draw_channels, large_scale, pathloss_gue_db,
                    pathloss_simple_linear, place_nodes, rician_k_linear)
+from cfris import channel
 from cfris.channel import ChannelSet
 from cfris.experiments import _draw, trial_rng
 from reference_pipeline import _links
@@ -126,6 +127,37 @@ class TestArrayResponse:
         assert np.array_equal(stacked, single)
         assert array_response(0, directions, d_ref, lam).shape == (2000, 0)
 
+    def test_smaller_array_is_a_prefix(self):
+        # a RIS size of a sweep is a prefix of the sweep's largest RIS, so
+        # element n must not depend on the array length, for stacked
+        # (trials, APs) nodes and for one node alike
+        rng = np.random.default_rng(4)
+        directions = rng.normal(size=(7, 20, 3))
+        directions /= np.linalg.norm(directions, axis=-1)[..., None]
+        d_ref = rng.uniform(1.0, 600.0, (7, 20))
+        lam = CFG.wavelength_m
+        full = array_response(60, directions, d_ref, lam)
+        one = array_response(60, directions[2, 5], d_ref[2, 5], lam)
+        for n in range(61):
+            assert np.array_equal(
+                array_response(n, directions, d_ref, lam), full[..., :n]), n
+            assert np.array_equal(array_response(
+                n, directions[2, 5], d_ref[2, 5], lam), one[:n]), n
+
+    def test_matches_the_phase_formula(self):
+        # exp(-j 2 pi d / lambda) exp(-j pi n cos(phi)) as two exponentials
+        # per element, at reference phases up to 1e4 rad
+        rng = np.random.default_rng(5)
+        directions = rng.normal(size=(500, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        lam = CFG.wavelength_m
+        d_ref = rng.uniform(0.0, 1e4 * lam / (2.0 * np.pi), 500)
+        n = np.arange(60)
+        expected = np.exp(1j * (-2.0 * np.pi * d_ref[:, None] / lam)) \
+            * np.exp(1j * (-np.pi * directions[:, :1] * n))
+        np.testing.assert_allclose(array_response(60, directions, d_ref, lam),
+                                   expected, rtol=1e-12, atol=0)
+
 
 def _single_link_layout(cfg, gue_pos, uav_pos):
     return NetworkLayout(
@@ -191,6 +223,35 @@ class TestLargeScale:
         assert np.all(np.isfinite(ls.H_ris))
         assert np.all(np.isfinite(ls.mean_ris_user))
         assert np.allclose(ls.mean_ris_user[:, 0], ls.mean_ris_user[0, 0])
+
+    def test_no_elements_make_no_array_response(self, monkeypatch):
+        # at N = 0 the RIS terms are empty: no array response is formed,
+        # and every field has the shape and value it has with elements
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return array_response(*args)
+
+        layout, _ = _draw(CFG, range(3))
+        uav_pos = np.repeat(layout.uav_pos[None], 2, axis=0)
+        uav_pos[..., 2] = np.array([40.0, 300.0])[:, None]
+        layout = layout._replace(uav_pos=uav_pos)
+        monkeypatch.setattr(channel, "array_response", counting)
+        ls = large_scale(layout, CFG.with_overrides(n_ris=0))
+        assert calls == []
+        with_ris = large_scale(layout, CFG.with_overrides(n_ris=4))
+        assert calls == [4, 4, 4]
+        assert ls.H_ris.shape == (3, CFG.m_ap, 0)
+        assert ls.mean_ris_user.shape == (2, 3, 0, CFG.n_users)
+        for f in ls._fields:
+            got, want = getattr(ls, f), getattr(with_ris, f)
+            if f == "H_ris":
+                want = want[..., :0]
+            elif f == "mean_ris_user":
+                want = want[..., :0, :]
+            assert got.dtype == want.dtype, f
+            assert np.array_equal(got, want), f
 
     def test_all_amplitudes_nonnegative(self):
         layout = place_nodes(CFG, np.random.default_rng(3))

@@ -61,6 +61,21 @@ class TestRunTrial:
         assert np.all(np.isfinite(rates))
         assert np.all(rates >= 0.0)
 
+    @pytest.mark.parametrize("p_d_w, noise_power_dbm, alpha", [
+        (5e-324, 0.0, 1.0), (1e-320, 0.0, 6.0), (1e-315, -200.0, 1.0)])
+    def test_subnormal_power_runs(self, p_d_w, noise_power_dbm, alpha):
+        # the signal of a subnormal power budget has lost significant
+        # bits in the SINR and in its coherent cap alike; a lone AP giving
+        # the UAV all of it sits at the cap, which it used to exceed
+        cfg = SimConfig(m_ap=1, n_gue=1, n_ris=0, area_side=2.0, h_ap=1.0,
+                        h_ris=0.0, h_gue=0.0, h_uav=1.0, kappa=1.0,
+                        tilt_deg=0.0, rho_db=0.0, alpha=alpha,
+                        carrier_freq_hz=1.5e8, bandwidth_hz=1.0,
+                        noise_power_dbm=noise_power_dbm, p_d_w=p_d_w,
+                        master_seed=0, trials=20)
+        sinr = run_sweep([cfg])
+        assert np.all(np.isfinite(sinr)) and np.all(sinr >= 0.0)
+
     @pytest.mark.filterwarnings("error")
     def test_subnormal_alignment_is_a_degenerate_geometry(self):
         # a RIS point without its N = 0 partner, the UAV 1e128 m up: the
@@ -153,6 +168,14 @@ class TestSweepEquivalence:
             assert np.array_equal(
                 ris_gain_db(res[:, 0], results[zero][:, 0]),
                 ris_gain_db(sinr[:, 0], refs[zero][1][:, 0]), equal_nan=True)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_sweep_arrays_match_run_trial_in_small_blocks(self, monkeypatch,
+                                                          block):
+        # RIS sizes 3 and 8 span whole blocks of 1 or 3 elements, and a
+        # part of one
+        monkeypatch.setattr(experiments, "RIS_BLOCK", block)
+        self.test_sweep_arrays_match_run_trial()
 
     def test_pinned_trial_values(self):
         # Trial 4 of seed 3 is drawn from SeedSequence(3, spawn_key=(4, 0));

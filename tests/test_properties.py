@@ -3,8 +3,8 @@
 Every configuration is either rejected (ConfigError for a value out of
 range, SimulationError for a drawn geometry too degenerate to allocate
 power) or runs to finite, non-negative rates and SINRs.  Every point of a
-random sweep, in batches of any size, matches the loop-level reference
-and gives exactly its results alone.
+random sweep, in batches of any size and RIS blocks of any width, matches
+the loop-level reference and gives exactly its results alone.
 """
 import numpy as np
 import pytest
@@ -16,32 +16,48 @@ from cfris import (ConfigError, SimConfig, SimulationError, experiments,
 from cfris.experiments import _trial_bytes, run_sweep
 from reference_pipeline import reference_trial
 
-# The accepted domain, with the boundaries SimConfig rejects (h_ap = 0,
-# p_d_w = 0) and positions outside the area (ris_x) mixed in.
-CONFIGS = st.fixed_dictionaries({
-    "m_ap": st.integers(1, 6),
-    "n_gue": st.integers(1, 4),
-    "n_ris": st.integers(0, 8),
-    "area_side": st.floats(0.0, 1e4, exclude_min=True),
-    "h_ap": st.floats(0.0, 100.0),
-    "h_ris": st.floats(0.0, 100.0),
-    "h_gue": st.floats(0.0, 100.0),
-    "h_uav": st.floats(0.0, 1000.0),
-    "ris_x": st.none() | st.floats(-100.0, 1e4),
-    "carrier_freq_hz": st.floats(1e6, 1e11),
-    "bandwidth_hz": st.floats(1.0, 1e9),
-    "noise_power_dbm": st.floats(-200.0, 50.0),
-    "p_d_w": st.floats(0.0, 100.0),
-    "kappa": st.floats(0.0, 1.0),
-    "tilt_deg": st.floats(-90.0, 90.0),
-    "rho_db": st.floats(-100.0, 0.0),
-    "alpha": st.floats(0.1, 6.0),
-    "master_seed": st.integers(0, 2**64 - 1),
-})
+# A value SimConfig rejects for each of three fields: the boundaries
+# h_ap = 0 and p_d_w = 0, and a RIS outside the area.
+REJECTED = {"h_ap": 0.0, "p_d_w": 0.0, "ris_x": -100.0}
+
+
+@st.composite
+def configs(draw):
+    """SimConfig keywords over the accepted domain; some draws set one
+    field to its value in REJECTED.
+
+    Heights and the carrier stay where the COST-231 Hata AP->GUE gain is
+    below 0 dB, which SimConfig requires, so most draws run the pipeline.
+    """
+    kw = draw(st.fixed_dictionaries({
+        "m_ap": st.integers(1, 6),
+        "n_gue": st.integers(1, 4),
+        "n_ris": st.integers(0, 8),
+        "area_side": st.floats(0.0, 1e4, exclude_min=True),
+        "h_ap": st.floats(0.0, 100.0, exclude_min=True),
+        "h_ris": st.floats(0.0, 100.0),
+        "h_gue": st.floats(0.0, 20.0),
+        "h_uav": st.floats(0.0, 1000.0),
+        "carrier_freq_hz": st.floats(1.5e8, 6e9),
+        "bandwidth_hz": st.floats(1.0, 1e9),
+        "noise_power_dbm": st.floats(-200.0, 50.0),
+        "p_d_w": st.floats(0.0, 100.0, exclude_min=True),
+        "kappa": st.floats(0.0, 1.0),
+        "tilt_deg": st.floats(-90.0, 90.0),
+        "rho_db": st.floats(-100.0, 0.0),
+        "alpha": st.floats(0.1, 6.0),
+        "master_seed": st.integers(0, 2**64 - 1),
+    }))
+    # the RIS at its default, the middle of its edge, or anywhere on it
+    kw["ris_x"] = draw(st.none() | st.floats(0.0, kw["area_side"]))
+    field = draw(st.sampled_from(list(REJECTED)))
+    if draw(st.integers(0, 6)) == 0:
+        kw[field] = REJECTED[field]
+    return kw
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(CONFIGS)
+@given(configs())
 def test_config_is_rejected_or_runs_to_finite_rates(kw):
     try:
         cfg = SimConfig(trials=3, **kw)
@@ -58,11 +74,14 @@ def test_config_is_rejected_or_runs_to_finite_rates(kw):
 
 @st.composite
 def sweeps(draw):
-    """A small configuration, a sweep over it and a batch budget.
+    """A small configuration, a sweep over it, a batch budget and a RIS
+    block width (None: the default, wider than every drawn RIS).
 
     The points are every (RIS size, kappa) pair at 1-2 UAV heights per
     tilt, from a pool of heights that holds 0 and h_ris, so tilts share
-    heights; they come in any order, the first one twice.
+    heights; they come in any order, the first one twice.  A block of 1-3
+    elements makes the RIS sizes span whole blocks as well as partial
+    ones.
     """
     cfg = SimConfig(
         m_ap=draw(st.integers(1, 6)), n_gue=draw(st.integers(1, 4)),
@@ -83,7 +102,8 @@ def sweeps(draw):
                                   max_size=3))
         for h in draw(st.lists(heights, min_size=1, max_size=2))
         for n, k in evals]))
-    return points + points[:1], draw(st.integers(1, 3))
+    return (points + points[:1], draw(st.integers(1, 3)),
+            draw(st.none() | st.integers(1, 3)))
 
 
 def _sweep_or_none(points):
@@ -96,10 +116,12 @@ def _sweep_or_none(points):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(sweeps())
 def test_sweep_matches_oracle_and_each_point_alone(sweep):
-    points, budget = sweep
+    points, budget, block = sweep
     # a batch budget of 1-3 trials of the sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "BATCH_BYTES", budget * _trial_bytes(points))
+        if block is not None:
+            mp.setattr(experiments, "RIS_BLOCK", block)
         got = _sweep_or_none(points)
         alone = [_sweep_or_none([p]) for p in points]
     # a degenerate draw fails the sweep and the point alone alike

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cfris
-from cfris import cli
+from cfris import cli, experiments
 
 # run_path compiles the source without writing a bytecode cache and does
 # not run the script's main block.
@@ -109,6 +109,24 @@ def test_ris_gain_heights_share_one_pass(tmp_path):
     calls = _traced_summary("ris-gain", tmp_path)["calls"]
     assert calls["channel.large_scale"] == 1
     assert calls["beamforming.gamma_analytic"] == 6
+
+
+def test_ris_gain_group_phases_each_element_once(monkeypatch):
+    # the RIS sizes 20-60 of the one tilt group are prefixes of one RIS:
+    # its pass phases the 60 elements once, block by block, not the 200
+    # elements of five prefixes
+    widths = []
+    align = experiments.ris_align_uav
+
+    def recording(H_ris, h_ris_uav, h_uav):
+        widths.append(H_ris.shape[-1])
+        return align(H_ris, h_ris_uav, h_uav)
+
+    monkeypatch.setattr(experiments, "ris_align_uav", recording)
+    _, spec = _spec([*WORKLOADS["ris-gain"].args, "--trials", "2",
+                     "--workers", "1"])
+    cli.run_experiment(spec, workers=1)
+    assert sum(widths) == max(spec.n_list) == 60
 
 
 def test_pool_workers_ship_their_spans(tmp_path):
