@@ -15,8 +15,7 @@ from .channel import (ChannelSet, LargeScaleParams, aggregate_channel,
                       large_scale, pathloss_gue_db, pathloss_simple_linear,
                       rician_k_linear)
 from .experiments import (ExperimentSpec, likely_rate_95, rate_cdf,
-                          rate_region, ris_gain_sweep, run_sweep, run_trial,
-                          run_trials)
+                          rate_region, ris_gain_sweep, run_sweep)
 from .geometry import (ConfigError, NetworkLayout, SimConfig,
                        SimulationError, place_nodes)
 from .link import rate_bps, ris_gain_db, sinr_all
@@ -29,6 +28,5 @@ __all__ = [
     "large_scale", "likely_rate_95", "pathloss_gue_db",
     "pathloss_simple_linear", "place_nodes", "ppa_allocate", "rate_bps",
     "rate_cdf", "rate_region", "rician_k_linear", "ris_align_uav",
-    "ris_gain_db", "ris_gain_sweep", "run_sweep", "run_trial", "run_trials",
-    "sinr_all",
+    "ris_gain_db", "ris_gain_sweep", "run_sweep", "sinr_all",
 ]

@@ -25,8 +25,6 @@ from .geometry import ConfigError, NetworkLayout, SimConfig
 
 THETA_3DB_DEG = 10.0   # half-power beamwidth of the elevation pattern
 SIDELOBE_FLOOR_DB = 20.0
-HATA_D0_M = 10.0       # inner breakpoint of the three-slope model
-HATA_D1_M = 50.0       # outer breakpoint
 
 
 def antenna_gain_db(theta_deg, tilt_deg):
@@ -54,21 +52,13 @@ def _hata_constant_db(cfg: SimConfig) -> float:
 def pathloss_gue_db(d_m, cfg: SimConfig):
     """Three-slope COST-231 Hata channel gain in dB (non-positive).
 
-    Slope 35 dB/decade beyond 50 m, 20 dB/decade between 10 and 50 m,
-    flat below 10 m; continuous at both breakpoints.  Distances below
-    1 m are clamped to 1 m.
+    -L - 15 log10(max(d, 0.05)) - 20 log10(max(d, 0.01)), d in km: flat
+    below 10 m (so down to 0 m), 20 dB/decade between 10 and 50 m and
+    35 dB/decade beyond, continuous at both breakpoints.
     """
-    d_km = np.maximum(np.asarray(d_m, dtype=float), 1.0) / 1e3
-    big_l = _hata_constant_db(cfg)
-    d1_km = HATA_D1_M / 1e3
-    d0_km = HATA_D0_M / 1e3
-    mid_const = -big_l - 15.0 * math.log10(d1_km)
-    return np.where(
-        d_km > d1_km,
-        -big_l - 35.0 * np.log10(d_km),
-        np.where(d_km > d0_km,
-                 mid_const - 20.0 * np.log10(d_km),
-                 mid_const - 20.0 * math.log10(d0_km)))
+    d_km = np.asarray(d_m, dtype=float) / 1e3
+    return -_hata_constant_db(cfg) - 15.0 * np.log10(np.maximum(d_km, 0.05)) \
+        - 20.0 * np.log10(np.maximum(d_km, 0.01))
 
 
 def pathloss_simple_linear(d_m, cfg: SimConfig):

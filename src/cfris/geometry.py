@@ -89,7 +89,15 @@ class SimConfig:
         # the RIS sits on the y = 0 edge of the area
         _check(0.0 <= self.ris_x <= self.area_side, "ris_x",
                "must be in [0, area_side]")
-        _check(0.0 <= self.kappa <= 1.0, "kappa", "must be in [0, 1]")
+        # kappa is a fraction; the tilt is an elevation, like the angles of
+        # the antenna pattern; a rate B log2(1 + SINR) stays finite, log2
+        # of a float being at most 1024; the noise power in W is a normal
+        # float
+        for key, low, high in (("kappa", 0, 1), ("tilt_deg", -90, 90),
+                               ("bandwidth_hz", 0, np.finfo(float).max / 1024),
+                               ("noise_power_dbm", -3046, 3112)):
+            _check(low <= getattr(self, key) <= high, key,
+                   f"must be in [{low}, {high}]")
         _check(0 <= self.master_seed < 2**64, "master_seed",
                "must fit in 64 bits")
         # A passive link cannot amplify.  rho is the d^-alpha gain at the

@@ -4,7 +4,8 @@ A frozen, deliberately plain copy of the trial semantics: every sum over
 APs m, RIS elements n and users k is an explicit loop, and the only parts
 of cfris it reuses are the substream (``trial_rng``), the node placement
 (``place_nodes``) and the element-wise model terms (pathloss, antenna
-pattern, Rician factor, array response).  A rewrite of the vectorised
+pattern, Rician factor).  The RIS array response is formed here, each
+element by its own two exponentials.  A rewrite of the vectorised
 pipeline is checked against it to 1e-12 relative.
 
 One trial at a point's own RIS size N:
@@ -17,11 +18,12 @@ One trial at a point's own RIS size N:
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from cfris.channel import (antenna_gain_db, array_response, pathloss_gue_db,
+from cfris.channel import (antenna_gain_db, pathloss_gue_db,
                            pathloss_simple_linear, rician_k_linear)
 from cfris.experiments import trial_rng
 from cfris.geometry import place_nodes
@@ -31,6 +33,15 @@ def _rician(k_factor: float):
     """(LoS, scatter) amplitude weights of a Rician link."""
     return math.sqrt(k_factor / (k_factor + 1.0)), \
         math.sqrt(1.0 / (k_factor + 1.0))
+
+
+def _array_response(n_ris, direction, d, lam):
+    """Element n of the half-wavelength x-axis ULA response:
+    exp(-j 2 pi d / lambda) exp(-j pi n cos(phi)), cos(phi) the x
+    component of the unit direction toward the node."""
+    ref = cmath.exp(-1j * (2.0 * math.pi * d / lam))
+    return np.array([ref * cmath.exp(-1j * (math.pi * n * direction[0]))
+                     for n in range(n_ris)], dtype=complex)
 
 
 def _normals(rng, shape):
@@ -77,7 +88,7 @@ def _links(cfg, trial_index):
         elev = math.degrees(math.atan2(to_ap[2], d_h_ris))
         amp = math.sqrt(10.0 ** (antenna_gain_db(elev, cfg.tilt_deg) / 10.0)
                         * pathloss_simple_linear(d, cfg))
-        H_ris[m] = amp * array_response(n_ris, to_ap / d, d, lam)
+        H_ris[m] = amp * _array_response(n_ris, to_ap / d, d, lam)
 
     # RIS -> user: d^-alpha law; pure LoS to the UAV, Rician to the GUEs
     beta_ru = np.empty(n_users)
@@ -88,7 +99,7 @@ def _links(cfg, trial_index):
         d = math.sqrt(to_user[0] * to_user[0] + to_user[1] * to_user[1]
                       + to_user[2] * to_user[2])
         beta_ru[k] = math.sqrt(pathloss_simple_linear(d, cfg))
-        a_ru[:, k] = array_response(n_ris, to_user / d, d, lam)
+        a_ru[:, k] = _array_response(n_ris, to_user / d, d, lam)
         k_ru[k] = rician_k_linear(d)
 
     z_direct = _normals(rng, (m_ap, n_users))

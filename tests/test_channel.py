@@ -50,6 +50,19 @@ class TestHataPathloss:
         assert pathloss_gue_db(50.0, CFG) == \
             pytest.approx(-95.17903385566908, abs=1e-9)
 
+    def test_flat_below_10m(self):
+        # hand evaluation: -L - 15 log10(0.05) - 20 log10(0.01)
+        for d in (1.0, 4.0, 10.0):
+            assert pathloss_gue_db(d, CFG) == \
+                pytest.approx(-81.1996337689487, abs=1e-9)
+
+    def test_20db_per_decade_between_10_and_50m(self):
+        # hand evaluation: -L - 15 log10(0.05) - 20 log10(0.02) at 20 m
+        assert pathloss_gue_db(20.0, CFG) == \
+            pytest.approx(-87.22023368222832, abs=1e-9)
+        assert pathloss_gue_db(10.0, CFG) - pathloss_gue_db(40.0, CFG) \
+            == pytest.approx(20.0 * math.log10(4.0), abs=1e-9)
+
     def test_monotone_gain(self):
         d = np.linspace(1.0, 2000.0, 4000)
         g = pathloss_gue_db(d, CFG)

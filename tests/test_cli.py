@@ -496,6 +496,37 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config, experiment, message", [
+        *(("noise_power_dbm = 3113\n", experiment,
+           "noise_power_dbm: must be in [-3046, 3112]")
+          for experiment in ("rate-region", "cdf", "ris-gain")),
+        ("noise_power_dbm = -1e6\n", "cdf",
+         "noise_power_dbm: must be in [-3046, 3112]"),
+        *(("bandwidth_hz = 1e308\n", experiment,
+           "bandwidth_hz: must be in [0, 1.7555597020139802e+305]")
+          for experiment in ("rate-region", "cdf")),
+        *(("tilt_deg = 1e200\n", experiment, "tilt_deg: must be in [-90, 90]")
+          for experiment in ("rate-region", "ris-gain")),
+    ], ids=["noise-3113-rate-region", "noise-3113-cdf", "noise-3113-ris-gain",
+            "noise-minus-1e6-cdf", "bandwidth-1e308-rate-region",
+            "bandwidth-1e308-cdf", "tilt-1e200-rate-region",
+            "tilt-1e200-ris-gain"])
+    def test_link_budget_overflow_exit_1(self, tmp_path, capsys, config,
+                                         experiment, message):
+        # a noise power beyond the float range ended in an OverflowError
+        # traceback, or became 0 W and made the SINR cap divide by zero;
+        # a 1e308 Hz bandwidth gave infinite rates, and a 1e200 degree
+        # tilt overflowed the antenna pattern
+        path = tmp_path / "budget.cfg"
+        path.write_text(config)
+        code = main(["--config", str(path), "--experiment", experiment,
+                     "--trials", "20", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_one_process_run_loads_no_pool(self, tmp_path):
         # the process pool is imported only by a run that forks
         script = ("import sys\n"

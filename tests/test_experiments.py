@@ -6,12 +6,13 @@ import pytest
 
 from cfris import (ConfigError, ExperimentSpec, SimConfig, SimulationError,
                    likely_rate_95, rate_bps, rate_cdf, rate_region,
-                   ris_gain_db, ris_gain_sweep, run_trial, run_trials)
+                   ris_gain_db, ris_gain_sweep)
 from cfris import experiments
 from cfris.experiments import (DEFAULT_CDF_SCENARIOS, DEFAULT_GAIN_N_LIST,
                                DEFAULT_N_LIST, MIN_RATE_95_SAMPLES,
                                _plan_chunks, _trial_bytes,
-                               run_experiment, run_sweep, scenario_label)
+                               run_experiment, run_sweep, run_trial,
+                               run_trials, scenario_label)
 
 SMALL = SimConfig(m_ap=6, n_gue=3, n_ris=8, trials=40, master_seed=11)
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -16,9 +16,13 @@ from cfris import (ConfigError, SimConfig, SimulationError, experiments,
 from cfris.experiments import _trial_bytes, run_sweep
 from reference_pipeline import reference_trial
 
-# A value SimConfig rejects for each of three fields: the boundaries
-# h_ap = 0 and p_d_w = 0, and a RIS outside the area.
-REJECTED = {"h_ap": 0.0, "p_d_w": 0.0, "ris_x": -100.0}
+# A value SimConfig rejects for each of six fields: the boundaries
+# h_ap = 0 and p_d_w = 0, a RIS outside the area, a noise power beyond
+# the float range, a bandwidth that makes a rate overflow and a tilt that
+# is no elevation.
+REJECTED = {"h_ap": 0.0, "p_d_w": 0.0, "ris_x": -100.0,
+            "noise_power_dbm": 3113.0, "bandwidth_hz": 1e308,
+            "tilt_deg": 1e200}
 
 
 @st.composite
@@ -39,8 +43,9 @@ def configs(draw):
         "h_gue": st.floats(0.0, 20.0),
         "h_uav": st.floats(0.0, 1000.0),
         "carrier_freq_hz": st.floats(1.5e8, 6e9),
-        "bandwidth_hz": st.floats(1.0, 1e9),
-        "noise_power_dbm": st.floats(-200.0, 50.0),
+        "bandwidth_hz": st.floats(0.0, np.finfo(float).max / 1024,
+                                  exclude_min=True),
+        "noise_power_dbm": st.floats(-3046.0, 3112.0),
         "p_d_w": st.floats(0.0, 100.0, exclude_min=True),
         "kappa": st.floats(0.0, 1.0),
         "tilt_deg": st.floats(-90.0, 90.0),

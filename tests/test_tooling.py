@@ -55,13 +55,12 @@ def _loaded_names(path):
 
 def test_every_public_name_is_used():
     # a name in cfris.__all__ is read by the package outside its export
-    # list, by an acceptance criterion, or wrapped by the benchmark tracer
+    # list, or by an acceptance criterion
     package = Path(cfris.__file__).parent
     used = set().union(*(_loaded_names(path)
                          for path in package.glob("*.py")
                          if path.name != "__init__.py"))
     used |= _loaded_names(Path(__file__).parent / "test_acceptance.py")
-    used |= {path.split(".")[0] for _, path, _ in CHILD["TARGETS"]}
     assert sorted(set(cfris.__all__) - used) == []
 
 
