@@ -30,6 +30,8 @@ _TYPES = {**FIELD_TYPES, "experiment": str,
           **{sweep: FIELD_TYPES[field] for sweep, field in SWEEPS.items()}}
 # Spec keys of the file and flags, and the ExperimentSpec field each sets.
 _SPEC_KEYS = {"experiment": "kind", **{sweep: sweep for sweep in SWEEPS}}
+# Each swept SimConfig field and the sweep key it feeds.
+_SWEPT = {field: sweep for sweep, field in SWEEPS.items()}
 # Flags named otherwise than the field they set.
 _RENAMES = {"seed": "master_seed", "uav_height": "h_uav"}
 # CSV columns named otherwise than their row key, besides *_bps -> *_mbps.
@@ -37,12 +39,13 @@ _COLUMNS = {"h_uav_m": "uav_height_m"}
 
 
 def _parse(key, raw, where):
-    """``raw`` cast to the type of ``key``, a tuple for a sweep key.
+    """``raw`` cast to the type of ``key``, a tuple for a sweep key or a
+    swept field.
 
     ``where`` names the source in error messages.
     """
     cast = _TYPES[key]
-    if key not in SWEEPS:
+    if key not in SWEEPS and key not in _SWEPT:
         try:
             return cast(raw)
         except ValueError:
@@ -80,27 +83,22 @@ def load_config(path: str | None, overrides: dict
     """Resolve defaults, then file values, then flag overrides.
 
     ``overrides`` maps flag names to values (None = absent); flags that
-    name no config key are ignored.  A flag on a swept field takes a comma
-    list.  A value given for a swept field, one or several, from a flag
-    or the file, is also its sweep, and its first value sets the field;
-    a sweep key given in the same source wins.  ``no_ris`` forces n_ris
-    to 0.
+    name no config key are ignored.  A swept field takes a comma list,
+    from a flag or the file, which is also its sweep, and its first value
+    sets the field; a sweep key given in the same source wins.  ``no_ris``
+    forces n_ris to 0.
     """
     values = _read_config_file(path) if path else {}
-    swept = {field: sweep for sweep, field in SWEEPS.items()}
     flagged = {}
     for flag, raw in overrides.items():
         key = _RENAMES.get(flag, flag)
         if raw is not None and key in _TYPES:
-            flagged[key] = _parse(swept.get(key, key), raw, flag)
+            flagged[key] = _parse(key, raw, flag)
     for source in (values, flagged):
-        for field, sweep in swept.items():
+        for field, sweep in _SWEPT.items():
             if field in source:
-                items = source[field]
-                if not isinstance(items, tuple):
-                    items = (items,)
-                source[field] = items[0]
-                source.setdefault(sweep, items)
+                source.setdefault(sweep, source[field])
+                source[field] = source[field][0]
     values.update(flagged)
     if overrides.get("no_ris"):
         values["n_ris"] = 0
@@ -205,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="UAV power fraction; comma list sweeps it")
     parser.add_argument("--n-ris", dest="n_ris",
                         help="RIS element count; comma list sweeps it")
-    parser.add_argument("--uav-height", dest="uav_height", type=float,
-                        help="UAV height in meters")
+    parser.add_argument("--uav-height", dest="uav_height",
+                        help="UAV height in meters; comma list sweeps it")
     parser.add_argument("--heights",
                         help="comma list of UAV heights for ris-gain")
     parser.add_argument("--tilt-deg", dest="tilt_deg", type=float,

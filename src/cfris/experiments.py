@@ -25,22 +25,23 @@ drawn and evaluated as stacked arrays, each entry bit-identical to its
 own trial's.  A batch draws each trial in two calls on its
 substream, one for all coordinates and one for all scatter, into one row
 of two buffers, and computes once the AP->GUE links (link_geometry).
-The points are grouped by tilt once per study.  Each group computes, at
-its largest RIS size, the AP->RIS and RIS->user legs, the tilt's antenna
-gains and the UAV's links at all its heights, one more leading axis,
-before the trial axis, that only the terms of the UAV carry: a group's
-stage arrays hold its height count times the batch's trials.  The group
-then makes one pass over its RIS elements, block by block, adding each
-block's reflected terms to running totals; every (RIS size, kappa)
-point takes its SINR at every height from the totals of its whole
-blocks plus its own partial block, kappa entering only the power split
-and the SINR.  As the blocks depend on element indices alone, a point
-gets the same bits alone as in any sweep.  The engine evaluates only
-the points it is given; ris_gain_sweep adds the zero-element point that
-pairs each RIS gain.  A study runs its batches in turn, or maps them
-over one process pool when it has more than one worker, and each batch
-writes its trials into the sweep's one (points, trials, K) array of
-per-user SINR as it arrives.  The studies take rates from that array.
+The points are grouped by tilt once per study, each group with one plan
+that routes the SINR of each (RIS size, kappa) to its points' rows.
+Each group computes, at its largest RIS size, the AP->RIS and RIS->user
+legs, the tilt's antenna gains and the UAV's links at all its heights,
+one more leading axis, before the trial axis, that only the terms of
+the UAV carry: a group's stage arrays hold its height count times the
+batch's trials.  The group then makes one pass over its RIS elements,
+block by block, adding each block's reflected terms to running totals;
+every (RIS size, kappa) takes its SINR at every height from the totals
+of its whole blocks plus its own partial block, kappa entering only the
+power split and the SINR.  As the blocks depend on element indices
+alone, a point gets the same bits alone as in any sweep.  The engine
+evaluates only the points it is given; ris_gain_sweep adds the
+zero-element point that pairs each RIS gain.  A study runs its batches
+in turn, or maps them over one process pool when it has more than one
+worker, and each batch writes its trials into the sweep's one (points,
+trials, K) array of per-user SINR as it arrives.  The studies take rates from that array.
 """
 from __future__ import annotations
 
@@ -170,24 +171,25 @@ def _draw(cfg: SimConfig, trial_indices):
         complex_normals(normals[:, direct:], (n, k)))
 
 
-def _block(ls: LargeScaleParams, cs: ChannelSet, start: int, stop: int):
-    """RIS elements [start, stop) of the links and channels, and their
-    phases toward the UAV.
+def _block(ls: LargeScaleParams, cs: ChannelSet, G: np.ndarray,
+           start: int, stop: int):
+    """RIS elements [start, stop) of the links, their phases toward the
+    UAV, and the channels G plus their reflected terms.
 
     Each element's phase depends on its own links and the direct UAV
     channel alone, so a block can be phased on its own columns.
     """
     ls = ls._replace(H_ris=ls.H_ris[..., start:stop],
                      mean_ris_user=ls.mean_ris_user[..., start:stop, :])
-    cs = cs._replace(h_ris_user=cs.h_ris_user[..., start:stop, :])
-    return ls, cs, ris_align_uav(ls.H_ris, cs.h_ris_user[..., 0],
-                                 cs.h_direct[..., 0])
+    h_ris_user = cs.h_ris_user[..., start:stop, :]
+    ris = ris_align_uav(ls.H_ris, h_ris_user[..., 0], cs.h_direct[..., 0])
+    return ls, ris, aggregate_channel(ls, ChannelSet(G, h_ris_user), ris)
 
 
-def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
-              evals) -> dict:
-    """Per-user SINR, (..., K), of each kappa of ``evals`` ({n_ris:
-    kappas}) on the first n_ris RIS elements: {n_ris: {kappa: SINR}}.
+def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet, plan,
+              sinr: np.ndarray):
+    """Write the per-user SINR, (..., K), of every point of a group's
+    ``plan`` (see _groups) at its height into its row of ``sinr``.
 
     One pass over the RIS elements in blocks of RIS_BLOCK: each whole
     block is phased toward the UAV once, and its reflected terms are added
@@ -203,36 +205,31 @@ def _evaluate(cfg: SimConfig, ls: LargeScaleParams, cs: ChannelSet,
     ls_0 = ls._replace(H_ris=ls.H_ris[..., :0],
                        mean_ris_user=ls.mean_ris_user[..., :0, :])
     ris_0 = RisConfig(v=np.empty(0))
-    out = {}
-    for n_ris in sorted(evals):
+    for n_ris, kappas in plan.items():
         while done + RIS_BLOCK <= n_ris:
-            ls_b, cs_b, ris = _block(ls, cs, done, done + RIS_BLOCK)
-            G = aggregate_channel(ls_b, cs_b._replace(h_direct=G), ris)
+            ls_b, ris, G = _block(ls, cs, G, done, done + RIS_BLOCK)
             moments = ris_moments(ls_b, ris, moments)
             done += RIS_BLOCK
         if done < n_ris:
-            ls_b, cs_b, ris = _block(ls, cs, done, n_ris)
-            out[n_ris] = _sinr(
-                cfg, aggregate_channel(ls_b, cs_b._replace(h_direct=G), ris),
-                gamma_analytic(ls_b, ris, moments), evals[n_ris])
+            ls_b, ris, G_n = _block(ls, cs, G, done, n_ris)
         else:
-            out[n_ris] = _sinr(cfg, G, gamma_analytic(ls_0, ris_0, moments),
-                               evals[n_ris])
-    return out
+            ls_b, ris, G_n = ls_0, ris_0, G
+        _sinr(cfg, G_n, gamma_analytic(ls_b, ris, moments), kappas, sinr)
 
 
-def _sinr(cfg: SimConfig, G: np.ndarray, gamma: np.ndarray, kappas) -> dict:
-    """Per-user SINR, (..., K), of the channels G with second moments
-    gamma at each kappa: {kappa: SINR}."""
+def _sinr(cfg: SimConfig, G: np.ndarray, gamma: np.ndarray, kappas,
+          sinr: np.ndarray):
+    """Write the per-user SINR of the channels G with second moments
+    gamma at each kappa of ``kappas`` ({kappa: [(point index, height
+    index)]}) into each of its points' rows of ``sinr``."""
     W = np.conj(G)   # conjugate beamforming
     cap = _coherent_cap(cfg, G, gamma)
-    out = {}
-    for kappa in kappas:
+    for kappa, rows in kappas.items():
         pa = ppa_allocate(gamma, kappa, cfg.p_d_w)
-        sinr = sinr_all(G, W, pa.eta, cfg.noise_power_w)
-        _sanity_check(cap, sinr)
-        out[kappa] = sinr
-    return out
+        out = sinr_all(G, W, pa.eta, cfg.noise_power_w)
+        _sanity_check(cap, out)
+        for j, h in rows:
+            sinr[j] = out[h]
 
 
 def _groups(points):
@@ -241,23 +238,23 @@ def _groups(points):
     Points at one tilt_deg differ only in h_uav, n_ris and kappa, so they
     share one pass over their distinct UAV heights, formed at their
     largest n_ris.  Each group is (its config, its heights as an array,
-    the kappas to evaluate per n_ris, [(point index, height index, n_ris,
-    kappa)]); every (n_ris, kappa) is evaluated at every height.
+    its plan): the plan maps each n_ris, ascending, to {kappa, ascending:
+    [(point index, height index)]}, and every (n_ris, kappa) is evaluated
+    at every height.
     """
     members = {}
     for j, p in enumerate(points):
         members.setdefault(p.tilt_deg, []).append(j)
     groups = []
     for group in members.values():
-        heights, evals, rows = {}, {}, []
+        heights, plan = {}, {}
         for j in group:
             p = points[j]
-            evals.setdefault(p.n_ris, set()).add(p.kappa)
-            rows.append((j, heights.setdefault(p.h_uav, len(heights)),
-                         p.n_ris, p.kappa))
-        cfg = points[group[0]].with_overrides(n_ris=max(evals))
-        groups.append((cfg, np.array(list(heights)),
-                       {n: sorted(k) for n, k in evals.items()}, rows))
+            plan.setdefault(p.n_ris, {}).setdefault(p.kappa, []).append(
+                (j, heights.setdefault(p.h_uav, len(heights))))
+        plan = {n: dict(sorted(plan[n].items())) for n in sorted(plan)}
+        cfg = points[group[0]].with_overrides(n_ris=max(plan))
+        groups.append((cfg, np.array(list(heights)), plan))
     return groups
 
 
@@ -272,17 +269,16 @@ def _run_chunk(args) -> np.ndarray:
     widest = max((group[0] for group in groups), key=lambda c: c.n_ris)
     layout, (z_direct, z_ris_user) = _draw(widest, batch)
     geometry = link_geometry(layout, widest)
-    sinr = np.empty((sum(len(group[3]) for group in groups), len(batch),
-                     widest.n_users))
-    for cfg, heights, evals, members in groups:
+    points = sum(len(rows) for *_, plan in groups
+                 for kappas in plan.values() for rows in kappas.values())
+    sinr = np.empty((points, len(batch), widest.n_users))
+    for cfg, heights, plan in groups:
         uav_pos = np.empty(heights.shape + layout.uav_pos.shape)
         uav_pos[...] = layout.uav_pos
         uav_pos[..., 2] = heights[:, None]
         ls = large_scale(layout._replace(uav_pos=uav_pos), cfg, geometry)
         cs = draw_channels(ls, (z_direct, z_ris_user[..., :cfg.n_ris, :]))
-        out = _evaluate(cfg, ls, cs, evals)
-        for j, h, n_ris, kappa in members:
-            sinr[j] = out[n_ris][kappa][h]
+        _evaluate(cfg, ls, cs, plan, sinr)
     return sinr
 
 

@@ -269,13 +269,15 @@ def test_batch_size_does_not_change_results(monkeypatch, batch_sizes, batch,
 @pytest.mark.parametrize("batch", [1, 3])
 def test_every_point_matches_its_own_sweep(monkeypatch, batch, workers):
     # a point evaluated at every height of its tilt, and at the RIS sizes
-    # and kappas of the other heights, gives exactly its results alone
-    alone = [run_sweep([p])[0] for p in MIXED]
+    # and kappas of the other heights, gives exactly its results alone,
+    # also in reverse order and repeated: rows are routed by point index
+    alone = {p: run_sweep([p])[0] for p in MIXED}
     monkeypatch.setattr(experiments, "BATCH_BYTES",
                         batch * _trial_bytes(MIXED))
-    got = run_sweep(MIXED, workers=workers)
-    for a, b in zip(alone, got, strict=True):
-        assert np.array_equal(a, b)
+    for points in (MIXED, [*MIXED[::-1], MIXED[0], MIXED[-1], MIXED[0]]):
+        got = run_sweep(points, workers=workers)
+        for p, b in zip(points, got, strict=True):
+            assert np.array_equal(alone[p], b)
 
 
 @pytest.mark.parametrize("block", [1, 3])

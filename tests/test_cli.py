@@ -133,6 +133,15 @@ LOAD_CASES = {
                                 NO_FLAGS, {}, {"kappas": (0.3,),
                                                "n_list": (8,),
                                                "heights": (50.0,)}),
+    "file lists are sweeps": ("kappa = 0.1, 0.2\nn_ris = 20, 30\n"
+                              "h_uav = 16, 100", NO_FLAGS,
+                              {"kappa": 0.1, "n_ris": 20, "h_uav": 16.0},
+                              {"kappas": (0.1, 0.2), "n_list": (20, 30),
+                               "heights": (16.0, 100.0)}),
+    "file sweep beats file list": ("n_ris = 20, 30\nn_list = 5", NO_FLAGS,
+                                   {"n_ris": 20}, {"n_list": (5,)}),
+    "uav-height list sweeps": ("h_uav = 50", flags(uav_height="16,100"),
+                               {"h_uav": 16.0}, {"heights": (16.0, 100.0)}),
     "file sweep beats file scalar": ("kappa = 0.3\nkappas = 0.2, 0.4",
                                      NO_FLAGS, {}, {"kappas": (0.2, 0.4)}),
     "flag scalar beats file sweep": ("heights = 10, 20",
@@ -197,12 +206,13 @@ class TestLoadConfigTable:
 
 
 def _file_fields(text):
-    """The SimConfig fields a case's config file sets, typed by the table."""
+    """The SimConfig fields a case's config file sets, typed by the table;
+    a list sets its field to its first value."""
     out = {}
     for line in text.splitlines():
         key, _, raw = (s.strip() for s in line.partition("="))
         if key in FILE_FIELDS:
-            out[key] = type(FILE_FIELDS[key][1])(raw)
+            out[key] = type(FILE_FIELDS[key][1])(raw.split(",")[0])
     return out
 
 
@@ -357,6 +367,25 @@ class TestMain:
     def test_validation_error_exit_1(self, capsys):
         assert main(["--kappa", "1.5"]) == 1
         assert "kappa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--kappa", "--uav-height"])
+    def test_unparsable_swept_flag_exit_1(self, tmp_path, capsys, flag):
+        # argparse refused a bad --uav-height with exit 2, which is kept
+        # for I/O errors, while a bad --kappa exited 1
+        code = main([flag, "abc", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot parse 'abc'" in err
+
+    def test_uav_height_list_sweeps_ris_gain(self, tmp_path):
+        # argparse refused a --uav-height list with exit 2
+        code = main(["--experiment", "ris-gain", "--uav-height", "16,100",
+                     "--n-ris", "8", "--trials", "20",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "ris_gain.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["8", "16"], ["8", "100"]]
 
     def test_ris_gain_without_uav_power_exit_1(self, tmp_path, capsys):
         # with kappa = 0 both UAV SINRs are 0 and the gain is undefined

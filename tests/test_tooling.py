@@ -1,13 +1,14 @@
 """The benchmark's tracer finds every cfris name it wraps and records the
 pipeline stages, in pool workers too; its workloads still run through the
 CLI, and their CSVs still match the benchmark's references.  Every public
-name has a user."""
+name has a user, and the README's CLI examples parse."""
 import ast
 import gzip
 import importlib
 import json
 import os
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ RUN = runpy.run_path(str(PERFBENCH / "run.py"))
 WORKLOADS = RUN["WORKLOADS"]
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _spec(args):
@@ -126,6 +128,8 @@ def test_ris_gain_group_phases_each_element_once(monkeypatch):
                      "--workers", "1"])
     cli.run_experiment(spec, workers=1)
     assert sum(widths) == max(spec.n_list) == 60
+    # every size ends on a block edge: none aligns an empty block
+    assert 0 not in widths
 
 
 def test_pool_workers_ship_their_spans(tmp_path):
@@ -168,3 +172,20 @@ def test_workload_matches_reference(name, master, workers, tmp_path):
     ref = gzip.decompress(RUN["reference_path"](wl, master).read_bytes())
     assert RUN["compare_csv"](csv.read_text(encoding="utf-8"),
                               ref.decode()) is None
+
+
+def test_readme_cli_examples_parse(tmp_path):
+    # the README's CLI section once drifted from the parser: its rule that
+    # a swept field takes a list from a flag or the file did not hold for
+    # file lines and --uav-height
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    blocks = section.split("\n## ")[0].split("```")[1::2]
+    commands = [line for line in blocks[0].replace("\\\n", "").splitlines()
+                if line.strip()]
+    assert len(commands) == 3 and len(blocks) == 2
+    for command in commands:
+        assert shlex.split(command)[0] == "cfris"
+        _spec(shlex.split(command)[1:])
+    path = tmp_path / "run.cfg"
+    path.write_text(blocks[1], encoding="utf-8")
+    cli.load_config(str(path), {})
