@@ -25,27 +25,21 @@ from . import __version__
 from .experiments import STUDIES, SWEEPS, ExperimentSpec, run_experiment
 from .geometry import FIELD_TYPES, ConfigError, SimConfig, SimulationError
 
-# Every file key and its type; a sweep holds values of the field it sweeps.
-_TYPES = {**FIELD_TYPES, "experiment": str,
-          **{sweep: FIELD_TYPES[field] for sweep, field in SWEEPS.items()}}
-# Spec keys of the file and flags, and the ExperimentSpec field each sets.
-_SPEC_KEYS = {"experiment": "kind", **{sweep: sweep for sweep in SWEEPS}}
-# Each swept SimConfig field and the sweep key it feeds.
-_SWEPT = {field: sweep for sweep, field in SWEEPS.items()}
-# Flags named otherwise than the field they set.
-_RENAMES = {"seed": "master_seed", "uav_height": "h_uav"}
+# Every file key and its type.
+_TYPES = {**FIELD_TYPES, "experiment": str}
+# Flags named otherwise than the key they set; --heights is --uav-height.
+_RENAMES = {"seed": "master_seed", "uav_height": "h_uav", "heights": "h_uav"}
 # CSV columns named otherwise than their row key, besides *_bps -> *_mbps.
 _COLUMNS = {"h_uav_m": "uav_height_m"}
 
 
 def _parse(key, raw, where):
-    """``raw`` cast to the type of ``key``, a tuple for a sweep key or a
-    swept field.
+    """``raw`` cast to the type of ``key``, a tuple for a swept field.
 
     ``where`` names the source in error messages.
     """
     cast = _TYPES[key]
-    if key not in SWEEPS and key not in _SWEPT:
+    if key not in SWEEPS.values():
         try:
             return cast(raw)
         except ValueError:
@@ -83,30 +77,34 @@ def load_config(path: str | None, overrides: dict
     """Resolve defaults, then file values, then flag overrides.
 
     ``overrides`` maps flag names to values (None = absent); flags that
-    name no config key are ignored.  A swept field takes a comma list,
-    from a flag or the file, which is also its sweep, and its first value
-    sets the field; a sweep key given in the same source wins.  ``no_ris``
-    forces n_ris to 0.
+    name no config key are ignored.  A swept field takes a comma list: its
+    sweep in a study that sweeps it, else one value only.  The first value
+    sets the field.  ``no_ris`` forces n_ris to 0.
     """
     values = _read_config_file(path) if path else {}
     flagged = {}
     for flag, raw in overrides.items():
         key = _RENAMES.get(flag, flag)
         if raw is not None and key in _TYPES:
+            if key in flagged:
+                raise ConfigError(f"{flag}: {key} is set by another flag")
             flagged[key] = _parse(key, raw, flag)
-    for source in (values, flagged):
-        for field, sweep in _SWEPT.items():
-            if field in source:
-                source.setdefault(sweep, source[field])
-                source[field] = source[field][0]
     values.update(flagged)
+    kind = values.pop("experiment", ExperimentSpec.kind)
+    sweeps = {}
+    for sweep, field in SWEEPS.items():
+        if field in values:
+            # an unknown kind sweeps every field; ExperimentSpec rejects it
+            if kind not in STUDIES or sweep in STUDIES[kind].sweeps:
+                sweeps[sweep] = values[field]
+            elif len(values[field]) > 1:
+                raise ConfigError(
+                    f"{field}: {kind} does not sweep it; give one value")
+            values[field] = values[field][0]
     if overrides.get("no_ris"):
         values["n_ris"] = 0
-
-    spec_kw = {attr: values.pop(key) for key, attr in _SPEC_KEYS.items()
-               if key in values}
     cfg = SimConfig(**values)
-    return cfg, ExperimentSpec(base=cfg, **spec_kw)
+    return cfg, ExperimentSpec(kind, cfg, **sweeps)
 
 
 def _fmt(value) -> str:
@@ -192,26 +190,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key = value config file")
     parser.add_argument("--experiment", choices=STUDIES,
                         help="study to run (default rate-region)")
-    parser.add_argument("--seed", type=int, help="master seed (64-bit)")
-    parser.add_argument("--trials", type=int,
-                        help="Monte-Carlo trials per sweep point")
+    parser.add_argument("--seed", help="master seed (64-bit)")
+    parser.add_argument("--trials", help="Monte-Carlo trials per sweep point")
     parser.add_argument("--out", metavar="DIR", default="results",
                         help="output directory (default ./results)")
     parser.add_argument("--workers", type=int, default=1,
                         help="concurrent trial workers (default 1)")
     parser.add_argument("--kappa",
-                        help="UAV power fraction; comma list sweeps it")
+                        help="UAV power fraction; rate-region sweeps a list")
     parser.add_argument("--n-ris", dest="n_ris",
-                        help="RIS element count; comma list sweeps it")
+                        help="RIS element count; a list sweeps it, not in cdf")
     parser.add_argument("--uav-height", dest="uav_height",
-                        help="UAV height in meters; comma list sweeps it")
-    parser.add_argument("--heights",
-                        help="comma list of UAV heights for ris-gain")
-    parser.add_argument("--tilt-deg", dest="tilt_deg", type=float,
+                        help="UAV height in meters; ris-gain sweeps a list")
+    parser.add_argument("--heights", help="same as --uav-height")
+    parser.add_argument("--tilt-deg", dest="tilt_deg",
                         help="AP antenna down-tilt in degrees")
     parser.add_argument("--no-ris", dest="no_ris", action="store_true",
                         help="set the base n_ris to 0; rate-region and "
-                             "ris-gain still sweep n_list")
+                             "ris-gain still sweep --n-ris")
     return parser
 
 

@@ -139,7 +139,9 @@ def _coherent_cap(cfg: SimConfig, G: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         coherent = np.where(gamma > 0.0, np.abs(G) ** 2 / np.sqrt(gamma), 0.0)
     signal = cfg.p_d_w * np.sum(coherent, axis=-2) ** 2
-    cap = np.maximum(signal, np.finfo(float).tiny) / cfg.noise_power_w
+    # an infinite cap rejects no finite SINR
+    with np.errstate(over="ignore"):
+        cap = np.maximum(signal, np.finfo(float).tiny) / cfg.noise_power_w
     return cap * (1.0 + 1e-9)
 
 

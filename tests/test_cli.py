@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from cfris import ConfigError, SimConfig, experiments
-from cfris.cli import _COLUMNS, _csv_text, _fmt, load_config, main, run
+from cfris.cli import (_COLUMNS, _csv_text, _fmt, build_parser, load_config,
+                       main, run)
 from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_HEIGHTS,
                                DEFAULT_KAPPAS, DEFAULT_N_LIST, ExperimentSpec)
 from cfris.geometry import FIELD_TYPES
@@ -43,11 +44,11 @@ class TestLoadConfig:
             "kappa = 0.25   # power split\n"
             "n_ris = 30\n"
             "experiment = cdf\n"
-            "heights = 16, 100, 300\n")
+            "h_uav = 16\n")
         cfg, spec = load_config(str(path), NO_FLAGS)
         assert cfg.m_ap == 10 and cfg.kappa == 0.25 and cfg.n_ris == 30
         assert spec.kind == "cdf"
-        assert spec.heights == (16.0, 100.0, 300.0)
+        assert cfg.h_uav == 16.0
 
     def test_flags_beat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -99,6 +100,14 @@ class TestLoadConfig:
         cfg, _ = load_config(None, flags(seed=7, trials=10))
         assert cfg.master_seed == 7 and cfg.trials == 10
 
+    @pytest.mark.parametrize("argv", [["--tilt-deg", "-5"],
+                                      ["--tilt-deg=-5"]])
+    def test_negative_tilt_flag(self, argv):
+        # --tilt-deg is read by load_config, not by an argparse type
+        args = build_parser().parse_args(argv)
+        cfg, _ = load_config(args.config, vars(args))
+        assert cfg.tilt_deg == -5.0
+
 
 # Every SimConfig field as written in a config file, and the value it reads
 # as; an integral float is written bare so that its type must come from the
@@ -127,40 +136,36 @@ LOAD_CASES = {
                              {"kappa": 0.3}, {"kappas": (0.3,)}),
     "one n-ris beats file": ("n_ris = 30", flags(n_ris="15"),
                              {"n_ris": 15}, {"n_list": (15,)}),
-    "one uav-height sweeps": ("", flags(uav_height=50.0),
+    "one uav-height sweeps": ("", flags(experiment="ris-gain",
+                                        uav_height=50.0),
                               {"h_uav": 50.0}, {"heights": (50.0,)}),
+    # rate-region does not sweep h_uav, so a scalar sets only the field
     "file scalars are sweeps": ("kappa = 0.3\nn_ris = 8\nh_uav = 50",
                                 NO_FLAGS, {}, {"kappas": (0.3,),
                                                "n_list": (8,),
-                                               "heights": (50.0,)}),
-    "file lists are sweeps": ("kappa = 0.1, 0.2\nn_ris = 20, 30\n"
-                              "h_uav = 16, 100", NO_FLAGS,
-                              {"kappa": 0.1, "n_ris": 20, "h_uav": 16.0},
-                              {"kappas": (0.1, 0.2), "n_list": (20, 30),
-                               "heights": (16.0, 100.0)}),
-    "file sweep beats file list": ("n_ris = 20, 30\nn_list = 5", NO_FLAGS,
-                                   {"n_ris": 20}, {"n_list": (5,)}),
-    "uav-height list sweeps": ("h_uav = 50", flags(uav_height="16,100"),
+                                               "heights": DEFAULT_HEIGHTS}),
+    "file lists are sweeps": ("kappa = 0.1, 0.2\nn_ris = 20, 30", NO_FLAGS,
+                              {"kappa": 0.1, "n_ris": 20},
+                              {"kappas": (0.1, 0.2), "n_list": (20, 30)}),
+    "uav-height list sweeps": ("h_uav = 50",
+                               flags(experiment="ris-gain",
+                                     uav_height="16,100"),
                                {"h_uav": 16.0}, {"heights": (16.0, 100.0)}),
-    "file sweep beats file scalar": ("kappa = 0.3\nkappas = 0.2, 0.4",
-                                     NO_FLAGS, {}, {"kappas": (0.2, 0.4)}),
-    "flag scalar beats file sweep": ("heights = 10, 20",
-                                     flags(uav_height=50.0),
+    "flag scalar beats file sweep": ("h_uav = 10, 20",
+                                     flags(experiment="ris-gain",
+                                           uav_height=50.0),
                                      {"h_uav": 50.0}, {"heights": (50.0,)}),
-    "heights beat uav-height": ("", flags(uav_height=50.0, heights="30,40"),
-                                {"h_uav": 50.0}, {"heights": (30.0, 40.0)}),
     "kappa list sweeps": ("kappa = 0.2", flags(kappa="0.3, 0.4"),
                           {"kappa": 0.3}, {"kappas": (0.3, 0.4)}),
     "n-ris list sweeps": ("n_ris = 30", flags(n_ris="8,4"),
                           {"n_ris": 8}, {"n_list": (8, 4)}),
-    "file sweeps": ("kappas = 0.2, 0.4\nn_list = 3, 5\nheights = 10, 20",
-                    NO_FLAGS, {}, {"kappas": (0.2, 0.4), "n_list": (3, 5),
+    "file sweeps": ("experiment = ris-gain\nn_ris = 3, 5\nh_uav = 10, 20",
+                    NO_FLAGS, {}, {"kind": "ris-gain", "n_list": (3, 5),
                                    "heights": (10.0, 20.0)}),
     "flag lists beat file lists": (
-        "kappas = 0.2, 0.4\nn_list = 3, 5\nheights = 10, 20",
-        flags(kappa="0.5,0.6", n_ris="7,9", heights="30,40"),
-        {"kappa": 0.5, "n_ris": 7},
-        {"kappas": (0.5, 0.6), "n_list": (7, 9), "heights": (30.0, 40.0)}),
+        "kappa = 0.2, 0.4\nn_ris = 3, 5",
+        flags(kappa="0.5,0.6", n_ris="7,9"),
+        {"kappa": 0.5, "n_ris": 7}, {"kappas": (0.5, 0.6), "n_list": (7, 9)}),
     "no-ris beats n-ris": ("n_ris = 30", flags(n_ris="15", no_ris=True),
                            {"n_ris": 0}, {}),
     "ris-gain default n_list": ("", flags(experiment="ris-gain"), {},
@@ -368,10 +373,12 @@ class TestMain:
         assert main(["--kappa", "1.5"]) == 1
         assert "kappa" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--kappa", "--uav-height"])
+    @pytest.mark.parametrize("flag", ["--kappa", "--uav-height", "--seed",
+                                      "--trials", "--tilt-deg"])
     def test_unparsable_swept_flag_exit_1(self, tmp_path, capsys, flag):
-        # argparse refused a bad --uav-height with exit 2, which is kept
-        # for I/O errors, while a bad --kappa exited 1
+        # argparse refused a bad --uav-height, --seed, --trials or
+        # --tilt-deg with exit 2, which is kept for I/O errors, while a bad
+        # --kappa exited 1
         code = main([flag, "abc", "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
@@ -386,6 +393,45 @@ class TestMain:
         lines = (tmp_path / "ris_gain.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["8", "16"], ["8", "100"]]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("experiment, field, flag, values", [
+        ("rate-region", "h_uav", "--uav-height", "16,100"),
+        ("ris-gain", "kappa", "--kappa", "0.1,0.2"),
+        ("cdf", "kappa", "--kappa", "0.1,0.2"),
+        ("cdf", "n_ris", "--n-ris", "20,30"),
+        ("cdf", "h_uav", "--uav-height", "16,100"),
+    ])
+    def test_list_for_unswept_field_exit_1(self, tmp_path, capsys, source,
+                                           experiment, field, flag, values):
+        # the study ran the first value and dropped the others in silence
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field} = {values}\n" if source == "file" else "")
+        code = main(["--config", str(path), "--experiment", experiment,
+                     "--trials", "20", "--out", str(tmp_path),
+                     *([flag, values] if source == "flag" else [])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{field}: {experiment} does not sweep it" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("key", ["kappas", "n_list", "heights"])
+    def test_old_sweep_key_exit_1(self, tmp_path, capsys, key):
+        # each named the sweep of a field, which now takes the list itself
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 20, 30\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unknown key {key!r}" in err
+
+    def test_both_height_flags_exit_1(self, tmp_path, capsys):
+        # --heights is --uav-height; the sweep key won over the field
+        code = main(["--heights", "16", "--uav-height", "50",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "h_uav" in err
 
     def test_ris_gain_without_uav_power_exit_1(self, tmp_path, capsys):
         # with kappa = 0 both UAV SINRs are 0 and the gain is undefined

@@ -422,6 +422,17 @@ class TestRateCdf:
         with pytest.raises(ConfigError):
             rate_cdf(cfg, scenarios=((0.1, 15.0, True),))
 
+    @pytest.mark.filterwarnings("error")
+    def test_coherent_cap_beyond_float_range(self, monkeypatch):
+        # signal / noise overflowed in _coherent_cap: a RuntimeWarning,
+        # and a traceback under -W error
+        points = _study_points(
+            monkeypatch, "cdf", noise_power_dbm=-3046.0, p_d_w=100.0,
+            rho_db=0.0, m_ap=6, area_side=1.0, h_ap=1.0, h_ris=0.5,
+            h_gue=0.5, h_uav=1.0, alpha=6.0, trials=20)
+        sinr = run_sweep(points)
+        assert np.all(np.isfinite(sinr)) and np.all(sinr >= 0.0)
+
 
 class TestRisGainSweep:
     def test_table_and_finiteness(self):

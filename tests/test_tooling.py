@@ -1,7 +1,8 @@
 """The benchmark's tracer finds every cfris name it wraps and records the
 pipeline stages, in pool workers too; its workloads still run through the
 CLI, and their CSVs still match the benchmark's references.  Every public
-name has a user, and the README's CLI examples parse."""
+name has a user, the README's CLI examples parse and resolve as before,
+and every CLI flag sets a config key."""
 import ast
 import gzip
 import importlib
@@ -174,18 +175,75 @@ def test_workload_matches_reference(name, master, workers, tmp_path):
                               ref.decode()) is None
 
 
+def _readme_cli():
+    """The README CLI section's commands, as argument lists without the
+    program name, and its config-file block."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    blocks = section.split("\n## ")[0].split("```")[1::2]
+    commands = [shlex.split(line)
+                for line in blocks[0].replace("\\\n", "").splitlines()
+                if line.strip()]
+    assert len(commands) == 3 and len(blocks) == 2
+    assert all(command[0] == "cfris" for command in commands)
+    return [command[1:] for command in commands], blocks[1]
+
+
 def test_readme_cli_examples_parse(tmp_path):
     # the README's CLI section once drifted from the parser: its rule that
     # a swept field takes a list from a flag or the file did not hold for
-    # file lines and --uav-height
-    section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
-    blocks = section.split("\n## ")[0].split("```")[1::2]
-    commands = [line for line in blocks[0].replace("\\\n", "").splitlines()
-                if line.strip()]
-    assert len(commands) == 3 and len(blocks) == 2
-    for command in commands:
-        assert shlex.split(command)[0] == "cfris"
-        _spec(shlex.split(command)[1:])
+    # file lines and --uav-height, and its file example held lists that
+    # its study dropped; test_examples_resolve_as_before runs its commands
     path = tmp_path / "run.cfg"
-    path.write_text(blocks[1], encoding="utf-8")
+    path.write_text(_readme_cli()[1], encoding="utf-8")
     cli.load_config(str(path), {})
+
+
+SCENARIOS = ((0.1, 15.0, False), (0.33, -5.0, False), (0.1, 15.0, True))
+# What each README command, in README order, and benchmark workload
+# resolves to: the sweeps its study runs and the base fields the study
+# reads.  These are the values of the parser that still had a sweep key
+# beside each swept field.
+RESOLVED = {
+    "readme-rate-region": ({"kappas": (0.02, 0.05, 0.1, 0.15),
+                            "n_list": (15, 30)},
+                           {"h_uav": 100.0, "tilt_deg": 15.0,
+                            "master_seed": 7, "trials": 2000}),
+    "readme-cdf": ({"cdf_scenarios": SCENARIOS},
+                   {"n_ris": 20, "h_uav": 100.0, "master_seed": 1,
+                    "trials": 2000}),
+    "readme-ris-gain": ({"n_list": (20, 30, 40, 50, 60),
+                         "heights": (16.0, 100.0, 300.0)},
+                        {"kappa": 0.1, "tilt_deg": 15.0, "master_seed": 1,
+                         "trials": 2000}),
+    "ris-gain": ({"n_list": (20, 30, 40, 50, 60),
+                  "heights": (16.0, 100.0, 300.0)},
+                 {"kappa": 0.1, "tilt_deg": 15.0, "master_seed": 7,
+                  "trials": 40}),
+    "cdf-w2": ({"cdf_scenarios": SCENARIOS},
+               {"n_ris": 20, "h_uav": 100.0, "master_seed": 7,
+                "trials": 2000}),
+}
+
+
+@pytest.mark.parametrize("name", RESOLVED)
+def test_examples_resolve_as_before(name, tmp_path):
+    if name.startswith("readme-"):
+        argv = _readme_cli()[0][list(RESOLVED).index(name)]
+    else:
+        argv = RUN["cli_args"](WORKLOADS[name], RUN["MASTER_SEEDS"][0],
+                               tmp_path)
+    sweeps, base = RESOLVED[name]
+    _, spec = _spec(argv)
+    # each study runs its own set of sweeps, so these pin the kind too
+    assert {s: getattr(spec, s) for s in cli.STUDIES[spec.kind].sweeps} \
+        == sweeps
+    assert {f: getattr(spec.base, f) for f in base} == base
+
+
+def test_every_flag_sets_a_config_key():
+    # load_config ignores a flag that names no config key, so such a flag
+    # would be dropped in silence
+    dests = {action.dest for action in cli.build_parser()._actions}
+    loose = {dest for dest in dests - {"help"}
+             if cli._RENAMES.get(dest, dest) not in cli._TYPES}
+    assert loose == {"config", "out", "workers", "no_ris"}
