@@ -22,11 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import STUDIES, SWEEPS, ExperimentSpec, run_experiment
+from .experiments import STUDIES, ExperimentSpec, run_experiment, study
 from .geometry import FIELD_TYPES, ConfigError, SimConfig, SimulationError
 
 # Every file key and its type.
 _TYPES = {**FIELD_TYPES, "experiment": str}
+# The fields that some study sweeps, in a fixed order.
+_SWEPT = tuple(dict.fromkeys(f for s in STUDIES.values() for f in s.sweeps))
 # Flags named otherwise than the key they set; --heights is --uav-height.
 _RENAMES = {"seed": "master_seed", "uav_height": "h_uav", "heights": "h_uav"}
 # CSV columns named otherwise than their row key, besides *_bps -> *_mbps.
@@ -39,7 +41,7 @@ def _parse(key, raw, where):
     ``where`` names the source in error messages.
     """
     cast = _TYPES[key]
-    if key not in SWEEPS.values():
+    if key not in _SWEPT:
         try:
             return cast(raw)
         except ValueError:
@@ -91,20 +93,18 @@ def load_config(path: str | None, overrides: dict
             flagged[key] = _parse(key, raw, flag)
     values.update(flagged)
     kind = values.pop("experiment", ExperimentSpec.kind)
-    sweeps = {}
-    for sweep, field in SWEEPS.items():
+    swept = study(kind).sweeps
+    sweeps = {field: values[field] for field in swept if field in values}
+    for field in _SWEPT:
         if field in values:
-            # an unknown kind sweeps every field; ExperimentSpec rejects it
-            if kind not in STUDIES or sweep in STUDIES[kind].sweeps:
-                sweeps[sweep] = values[field]
-            elif len(values[field]) > 1:
+            if field not in swept and len(values[field]) > 1:
                 raise ConfigError(
                     f"{field}: {kind} does not sweep it; give one value")
             values[field] = values[field][0]
     if overrides.get("no_ris"):
         values["n_ris"] = 0
     cfg = SimConfig(**values)
-    return cfg, ExperimentSpec(kind, cfg, **sweeps)
+    return cfg, ExperimentSpec(kind, cfg, sweeps)
 
 
 def _fmt(value) -> str:
@@ -153,10 +153,9 @@ def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
     rows = run_experiment(spec, workers=workers)
     duration = time.monotonic() - started
 
-    study = STUDIES[spec.kind]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / study.csv_name
+    csv_path = out / STUDIES[spec.kind].csv_name
     csv_path.write_text(_csv_text(rows), encoding="utf-8", newline="\n")
 
     manifest = {
@@ -169,7 +168,7 @@ def run(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> Path:
         "trials_per_point": spec.base.trials,
         "workers": workers,
         "config": dataclasses.asdict(spec.base),
-        "sweeps": {name: getattr(spec, name) for name in study.sweeps},
+        "sweeps": spec.sweeps,
         "rows": len(rows),
         "duration_s": duration,
         "results_csv": csv_path.name,

@@ -1,13 +1,13 @@
 """Monte-Carlo experiment drivers.
 
-Three studies are provided:
+Three studies are provided, one row of STUDIES each: the SimConfig
+fields it sweeps, with their default sweeps, in its function's order.
 
-* ``rate_region``: 95%-likely GUE/UAV rate pairs over a sweep of the power
-  split kappa, for the plain system, RIS systems of several sizes, and a
-  GUE-only baseline.
-* ``rate_cdf``: empirical rate CDFs for (kappa, tilt, RIS on/off) scenarios.
-* ``ris_gain_sweep``: mean UAV SINR gain of the RIS over element counts and
-  UAV heights, paired per realization.
+* ``rate_region`` sweeps kappa and n_ris: 95%-likely GUE/UAV rate pairs
+  for the plain and RIS systems and a GUE-only baseline.
+* ``rate_cdf`` sweeps none: rate CDFs of fixed (kappa, tilt, RIS) scenarios.
+* ``ris_gain_sweep`` sweeps n_ris and h_uav: mean UAV SINR gain of the
+  RIS, paired per realization.
 
 Every trial draws its randomness from a substream derived deterministically
 from (master_seed, trial_index), so results are bit-identical regardless of
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,8 +68,6 @@ DEFAULT_HEIGHTS = (16.0, 100.0, 300.0)
 # variant, and the RIS system at the baseline settings.
 DEFAULT_CDF_SCENARIOS = ((0.1, 15.0, False), (0.33, -5.0, False),
                          (0.1, 15.0, True))
-# Each sweep of an ExperimentSpec and the SimConfig field it sweeps.
-SWEEPS = {"kappas": "kappa", "n_list": "n_ris", "heights": "h_uav"}
 # Fewest samples a 95%-likely rate is taken from.
 MIN_RATE_95_SAMPLES = 20
 # The only fields in which the points of one sweep may differ.
@@ -84,38 +82,31 @@ RIS_BLOCK = 10
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully resolved experiment: kind, sweeps and the base scenario.
+    """A fully resolved experiment: kind, base scenario and sweeps.
 
-    ``kind`` is a key of STUDIES; ``n_list=None`` resolves to its default.
-    Every swept value must make a valid SimConfig in the field it sweeps;
-    the rules of one study are checked by its study function.
+    ``kind`` is a key of STUDIES; ``sweeps`` maps every field its study
+    sweeps, in the row's order, to its values, the row's default where
+    not given (ConfigError for any other field).  Each value must make a
+    valid SimConfig; the other rules of a study are its function's.
     """
 
     kind: str = "rate-region"
     base: SimConfig = SimConfig()
-    kappas: tuple = DEFAULT_KAPPAS
-    n_list: tuple | None = None
-    heights: tuple = DEFAULT_HEIGHTS
-    # not a field: no flag or file key sets the cdf scenarios
-    cdf_scenarios = DEFAULT_CDF_SCENARIOS
+    sweeps: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in STUDIES:
-            raise ConfigError(
-                f"experiment: unknown kind {self.kind!r} "
-                f"(expected one of {', '.join(STUDIES)})")
-        if self.n_list is None:
-            object.__setattr__(self, "n_list", STUDIES[self.kind].n_list)
-        for sweep, field in SWEEPS.items():
-            # a tuple, so that a numpy array is a sweep like a list
-            object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
-            if not getattr(self, sweep):
-                raise ConfigError(f"{sweep}: need a non-empty list")
-            for value in getattr(self, sweep):
-                try:
-                    self.base.with_overrides(**{field: value})
-                except ConfigError as exc:
-                    raise ConfigError(f"{sweep}: {exc}") from None
+        swept = study(self.kind).sweeps
+        # a tuple, so that a numpy array is a sweep like a list
+        sweeps = {name: tuple(values)
+                  for name, values in {**swept, **self.sweeps}.items()}
+        for name, values in sweeps.items():
+            if name not in swept:
+                raise ConfigError(f"{name}: {self.kind} does not sweep it")
+            if not values:
+                raise ConfigError(f"{name}: need a non-empty list")
+            for value in values:
+                self.base.with_overrides(**{name: value})
+        object.__setattr__(self, "sweeps", sweeps)
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -429,7 +420,7 @@ def rate_region(cfg: SimConfig, kappa_list=DEFAULT_KAPPAS,
                           f"{MIN_RATE_95_SAMPLES} per point, got {cfg.trials}")
     if any(int(n) < 1 for n in n_list):
         # an N = 0 system would repeat the no-ris rows under a RIS name
-        raise ConfigError("n_list: rate-region needs n_ris >= 1")
+        raise ConfigError("n_ris: rate-region needs n_ris >= 1")
     systems = [("no-ris", 0)] + [(f"ris-n{int(n)}", int(n)) for n in n_list]
     grid = [(name, n_ris, float(kappa)) for name, n_ris in systems
             for kappa in kappa_list]
@@ -499,7 +490,7 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
         raise ConfigError("kappa: ris-gain needs kappa > 0")
     if any(int(n) < 1 for n in n_list):
         # no RIS: the paired gain is undefined
-        raise ConfigError("n_list: ris-gain needs n_ris >= 1")
+        raise ConfigError("n_ris: ris-gain needs n_ris >= 1")
     n_list = [int(n) for n in n_list]
     # per height: the paired no-RIS reference, then each element count
     points = [cfg.with_overrides(n_ris=n_ris, h_uav=float(h_uav))
@@ -518,22 +509,31 @@ def ris_gain_sweep(cfg: SimConfig, n_list=DEFAULT_GAIN_N_LIST,
 class Study(NamedTuple):
     """One experiment kind."""
 
-    run: Callable     # study(base, *sweeps, workers=...) -> rows
-    sweeps: tuple     # the ExperimentSpec attributes it takes, in order
+    run: Callable     # study(base, *sweeps.values(), workers=...) -> rows
+    sweeps: dict      # {SimConfig field: default sweep}, in run's order
     csv_name: str
-    n_list: tuple = DEFAULT_N_LIST   # ExperimentSpec's default n_list
 
 
 STUDIES = {
-    "rate-region": Study(rate_region, ("kappas", "n_list"), "rate_region.csv"),
-    "cdf": Study(rate_cdf, ("cdf_scenarios",), "rate_cdf.csv"),
-    "ris-gain": Study(ris_gain_sweep, ("n_list", "heights"), "ris_gain.csv",
-                      DEFAULT_GAIN_N_LIST),
+    "rate-region": Study(rate_region,
+                         {"kappa": DEFAULT_KAPPAS, "n_ris": DEFAULT_N_LIST},
+                         "rate_region.csv"),
+    "cdf": Study(rate_cdf, {}, "rate_cdf.csv"),
+    "ris-gain": Study(ris_gain_sweep,
+                      {"n_ris": DEFAULT_GAIN_N_LIST, "h_uav": DEFAULT_HEIGHTS},
+                      "ris_gain.csv"),
 }
+
+
+def study(kind: str) -> Study:
+    """The STUDIES row of ``kind``; ConfigError for an unknown kind."""
+    if kind not in STUDIES:
+        raise ConfigError(f"experiment: unknown kind {kind!r} "
+                          f"(expected one of {', '.join(STUDIES)})")
+    return STUDIES[kind]
 
 
 def run_experiment(spec: ExperimentSpec, *, workers: int = 1):
     """Run the study of a resolved experiment; returns its result rows."""
-    study = STUDIES[spec.kind]
-    return study.run(spec.base, *(getattr(spec, s) for s in study.sweeps),
-                     workers=workers)
+    return STUDIES[spec.kind].run(spec.base, *spec.sweeps.values(),
+                                  workers=workers)

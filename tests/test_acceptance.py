@@ -290,8 +290,8 @@ def test_criterion_8_determinism_across_workers(tmp_path):
     """Same master seed gives byte-identical CSVs for 1 and 8 workers."""
     started = time.monotonic()
     base = SimConfig(n_ris=8, master_seed=SEED, trials=160)
-    spec = ExperimentSpec(kind="ris-gain", base=base, n_list=(8,),
-                          heights=(100.0,))
+    spec = ExperimentSpec(kind="ris-gain", base=base,
+                          sweeps={"n_ris": (8,), "h_uav": (100.0,)})
     csv_1 = cli_run(spec, tmp_path / "w1", workers=1)
     csv_8 = cli_run(spec, tmp_path / "w8", workers=8)
     csv_1_again = cli_run(spec, tmp_path / "w1b", workers=1)

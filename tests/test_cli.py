@@ -13,8 +13,8 @@ import pytest
 from cfris import ConfigError, SimConfig, experiments
 from cfris.cli import (_COLUMNS, _csv_text, _fmt, build_parser, load_config,
                        main, run)
-from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_HEIGHTS,
-                               DEFAULT_KAPPAS, DEFAULT_N_LIST, ExperimentSpec)
+from cfris.experiments import (DEFAULT_GAIN_N_LIST, DEFAULT_KAPPAS,
+                               DEFAULT_N_LIST, STUDIES, ExperimentSpec)
 from cfris.geometry import FIELD_TYPES
 
 NO_FLAGS = {}
@@ -82,15 +82,14 @@ class TestLoadConfig:
         cfg, spec = load_config(None, flags(
             experiment="ris-gain", n_ris="20,30", heights="16,100"))
         assert cfg.n_ris == 20
-        assert spec.n_list == (20, 30)
-        assert spec.heights == (16.0, 100.0)
+        assert spec.sweeps == {"n_ris": (20, 30), "h_uav": (16.0, 100.0)}
 
     def test_single_kappa_is_its_sweep(self):
         # one value is a one-point sweep; it used to leave the default
         # sweep in place, unused by rate-region
         cfg, spec = load_config(None, flags(kappa="0.33"))
         assert cfg.kappa == 0.33
-        assert spec.kappas == (0.33,)
+        assert spec.sweeps["kappa"] == (0.33,)
 
     def test_no_ris_flag(self):
         cfg, _ = load_config(None, flags(no_ris=True))
@@ -133,50 +132,49 @@ LOAD_CASES = {
     "tilt-deg beats file": ("tilt_deg = 5", flags(tilt_deg=-5.0),
                             {"tilt_deg": -5.0}, {}),
     "one kappa beats file": ("kappa = 0.2", flags(kappa="0.3"),
-                             {"kappa": 0.3}, {"kappas": (0.3,)}),
+                             {"kappa": 0.3}, {"kappa": (0.3,)}),
     "one n-ris beats file": ("n_ris = 30", flags(n_ris="15"),
-                             {"n_ris": 15}, {"n_list": (15,)}),
+                             {"n_ris": 15}, {"n_ris": (15,)}),
     "one uav-height sweeps": ("", flags(experiment="ris-gain",
                                         uav_height=50.0),
-                              {"h_uav": 50.0}, {"heights": (50.0,)}),
+                              {"h_uav": 50.0}, {"h_uav": (50.0,)}),
     # rate-region does not sweep h_uav, so a scalar sets only the field
     "file scalars are sweeps": ("kappa = 0.3\nn_ris = 8\nh_uav = 50",
-                                NO_FLAGS, {}, {"kappas": (0.3,),
-                                               "n_list": (8,),
-                                               "heights": DEFAULT_HEIGHTS}),
+                                NO_FLAGS, {}, {"kappa": (0.3,),
+                                               "n_ris": (8,)}),
     "file lists are sweeps": ("kappa = 0.1, 0.2\nn_ris = 20, 30", NO_FLAGS,
                               {"kappa": 0.1, "n_ris": 20},
-                              {"kappas": (0.1, 0.2), "n_list": (20, 30)}),
+                              {"kappa": (0.1, 0.2), "n_ris": (20, 30)}),
     "uav-height list sweeps": ("h_uav = 50",
                                flags(experiment="ris-gain",
                                      uav_height="16,100"),
-                               {"h_uav": 16.0}, {"heights": (16.0, 100.0)}),
+                               {"h_uav": 16.0}, {"h_uav": (16.0, 100.0)}),
     "flag scalar beats file sweep": ("h_uav = 10, 20",
                                      flags(experiment="ris-gain",
                                            uav_height=50.0),
-                                     {"h_uav": 50.0}, {"heights": (50.0,)}),
+                                     {"h_uav": 50.0}, {"h_uav": (50.0,)}),
     "kappa list sweeps": ("kappa = 0.2", flags(kappa="0.3, 0.4"),
-                          {"kappa": 0.3}, {"kappas": (0.3, 0.4)}),
+                          {"kappa": 0.3}, {"kappa": (0.3, 0.4)}),
     "n-ris list sweeps": ("n_ris = 30", flags(n_ris="8,4"),
-                          {"n_ris": 8}, {"n_list": (8, 4)}),
+                          {"n_ris": 8}, {"n_ris": (8, 4)}),
     "file sweeps": ("experiment = ris-gain\nn_ris = 3, 5\nh_uav = 10, 20",
-                    NO_FLAGS, {}, {"kind": "ris-gain", "n_list": (3, 5),
-                                   "heights": (10.0, 20.0)}),
+                    NO_FLAGS, {}, {"kind": "ris-gain", "n_ris": (3, 5),
+                                   "h_uav": (10.0, 20.0)}),
     "flag lists beat file lists": (
         "kappa = 0.2, 0.4\nn_ris = 3, 5",
         flags(kappa="0.5,0.6", n_ris="7,9"),
-        {"kappa": 0.5, "n_ris": 7}, {"kappas": (0.5, 0.6), "n_list": (7, 9)}),
+        {"kappa": 0.5, "n_ris": 7}, {"kappa": (0.5, 0.6), "n_ris": (7, 9)}),
     "no-ris beats n-ris": ("n_ris = 30", flags(n_ris="15", no_ris=True),
                            {"n_ris": 0}, {}),
     "ris-gain default n_list": ("", flags(experiment="ris-gain"), {},
-                                {"n_list": DEFAULT_GAIN_N_LIST}),
+                                {"n_ris": DEFAULT_GAIN_N_LIST}),
     "experiment flag beats file": ("experiment = cdf",
                                    flags(experiment="ris-gain"), {},
                                    {"kind": "ris-gain"}),
     "out, workers and config ignored": (
         "", flags(out="elsewhere", workers=3, config="nope.cfg"), {},
-        {"kind": "rate-region", "kappas": DEFAULT_KAPPAS,
-         "n_list": DEFAULT_N_LIST, "heights": DEFAULT_HEIGHTS}),
+        {"kind": "rate-region", "kappa": DEFAULT_KAPPAS,
+         "n_ris": DEFAULT_N_LIST}),
 }
 
 
@@ -204,10 +202,12 @@ class TestLoadConfigTable:
         assert cfg == SimConfig(**{**_file_fields(text), **want_cfg})
         assert spec.base == cfg
         for key, value in want_spec.items():
-            assert getattr(spec, key) == value
-        for key, kind in (("kappas", float), ("n_list", int),
-                          ("heights", float)):
-            assert all(type(v) is kind for v in getattr(spec, key))
+            assert (spec.kind if key == "kind" else spec.sweeps[key]) == value
+        # the spec holds a sweep of each field its study sweeps, and only
+        # those, typed as the field
+        assert list(spec.sweeps) == list(STUDIES[spec.kind].sweeps)
+        for field, values in spec.sweeps.items():
+            assert all(type(v) is FIELD_TYPES[field] for v in values)
 
 
 def _file_fields(text):
@@ -222,10 +222,12 @@ def _file_fields(text):
 
 
 def _tiny_spec(kind, **kw):
+    # only the study's own fields: a spec rejects any other
     base = SimConfig(m_ap=5, n_gue=2, n_ris=6, trials=25, master_seed=3)
-    defaults = dict(kappas=(0.05, 0.2), n_list=(6,), heights=(100.0,))
+    defaults = dict(kappa=(0.05, 0.2), n_ris=(6,), h_uav=(100.0,))
     defaults.update(kw)
-    return ExperimentSpec(kind=kind, base=base, **defaults)
+    return ExperimentSpec(kind=kind, base=base, sweeps={
+        field: defaults[field] for field in STUDIES[kind].sweeps})
 
 
 class TestRun:
@@ -241,10 +243,9 @@ class TestRun:
         assert csv_path.read_text().splitlines()[0] == header
 
     @pytest.mark.parametrize("kind, sweeps", [
-        ("rate-region", {"kappas": [0.05, 0.2], "n_list": [6]}),
-        ("cdf", {"cdf_scenarios": [[0.1, 15.0, False], [0.33, -5.0, False],
-                                   [0.1, 15.0, True]]}),
-        ("ris-gain", {"n_list": [6], "heights": [100.0]}),
+        ("rate-region", {"kappa": [0.05, 0.2], "n_ris": [6]}),
+        ("cdf", {}),
+        ("ris-gain", {"n_ris": [6], "h_uav": [100.0]}),
     ])
     def test_manifest_echoes_the_sweeps_run(self, tmp_path, kind, sweeps):
         # every sweep used to be echoed, including those the study ignores
@@ -257,23 +258,23 @@ class TestRun:
         # raise TypeError on them after the CSV was written
         base = SimConfig(m_ap=np.int64(5), n_gue=2, kappa=np.float32(0.25),
                          trials=25)
-        run(ExperimentSpec("ris-gain", base, n_list=(np.int64(6),),
-                           heights=(100.0,)), tmp_path)
+        run(ExperimentSpec("ris-gain", base, {"n_ris": (np.int64(6),),
+                                              "h_uav": (100.0,)}), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["m_ap"] == 5
         assert manifest["config"]["kappa"] == 0.25
-        assert manifest["sweeps"]["n_list"] == [6]
+        assert manifest["sweeps"]["n_ris"] == [6]
 
     def test_numpy_array_sweeps(self, tmp_path):
         # an array sweep used to raise "The truth value of an array ... is
         # ambiguous"
         base = SimConfig(m_ap=5, n_gue=2, trials=25)
-        spec = ExperimentSpec("ris-gain", base, n_list=np.array([4, 8]),
-                              heights=np.array([100.0]))
-        assert spec.n_list == (4, 8) and spec.heights == (100.0,)
+        spec = ExperimentSpec("ris-gain", base, {"n_ris": np.array([4, 8]),
+                                                "h_uav": np.array([100.0])})
+        assert spec.sweeps == {"n_ris": (4, 8), "h_uav": (100.0,)}
         run(spec, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["sweeps"] == {"n_list": [4, 8], "heights": [100.0]}
+        assert manifest["sweeps"] == {"n_ris": [4, 8], "h_uav": [100.0]}
 
     def test_rate_region_csv_schema(self, tmp_path):
         csv_path = run(_tiny_spec("rate-region"), tmp_path)
@@ -289,8 +290,8 @@ class TestRun:
 
     def test_ris_gain_cross_product_rows(self, tmp_path):
         # heights 16,100,300 x n_ris 20,30,40,50,60 -> a 15-row table
-        spec = _tiny_spec("ris-gain", n_list=(20, 30, 40, 50, 60),
-                          heights=(16.0, 100.0, 300.0))
+        spec = _tiny_spec("ris-gain", n_ris=(20, 30, 40, 50, 60),
+                          h_uav=(16.0, 100.0, 300.0))
         csv_path = run(spec, tmp_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "n_ris,uav_height_m,mean_gain_db"
@@ -424,6 +425,34 @@ class TestMain:
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"unknown key {key!r}" in err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--kappa", "0.1,1.5"], "kappa"),
+        (["--experiment", "ris-gain", "--heights", "16,-1"], "h_uav"),
+        (["--experiment", "ris-gain", "--n-ris", "20,-3"], "n_ris"),
+        (["--experiment", "rate-region", "--n-ris", "0,15"], "n_ris"),
+        (["--experiment", "ris-gain", "--n-ris", "0,4"], "n_ris"),
+    ], ids=["kappa", "h_uav", "n_ris", "rate-region-n_ris", "ris-gain-n_ris"])
+    def test_bad_sweep_value_names_the_field(self, tmp_path, capsys, argv,
+                                             field):
+        # the message began with the removed sweep key ("kappas: kappa:
+        # must be in [0, 1]", "n_list: rate-region needs n_ris >= 1")
+        assert main([*argv, "--trials", "20", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cfris: invalid configuration: {field}:")
+        assert not any(key in err for key in ("kappas", "n_list", "heights:"))
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_unknown_kind_beats_a_list(self, tmp_path, capsys):
+        # the kind is resolved before a list is split, so a list for a
+        # field does not hide that the kind is unknown
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = bogus\nkappa = 0.1, 0.2\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "experiment: unknown kind 'bogus'" in err
 
     def test_both_height_flags_exit_1(self, tmp_path, capsys):
         # --heights is --uav-height; the sweep key won over the field

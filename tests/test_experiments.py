@@ -464,16 +464,16 @@ class TestExperimentSpec:
     def test_dispatch(self):
         spec = ExperimentSpec(kind="ris-gain",
                               base=SMALL.with_overrides(trials=25),
-                              n_list=(4,), heights=(100.0,))
+                              sweeps={"n_ris": (4,), "h_uav": (100.0,)})
         rows = run_experiment(spec)
         assert len(rows) == 1
 
     @pytest.mark.parametrize("kw", [
         {"kind": "bogus"},
-        {"kind": "rate-region", "kappas": ()},
-        {"kind": "rate-region", "kappas": (1.5,)},
-        {"kind": "ris-gain", "n_list": (0,)},
-        {"kind": "cdf", "heights": (-3.0,)},
+        {"kind": "rate-region", "sweeps": {"kappa": ()}},
+        {"kind": "rate-region", "sweeps": {"kappa": (1.5,)}},
+        {"kind": "ris-gain", "sweeps": {"n_ris": (0,)}},
+        {"kind": "ris-gain", "sweeps": {"h_uav": (-3.0,)}},
         {"kind": "ris-gain", "base": SMALL.with_overrides(kappa=0.0)},
     ])
     def test_validation(self, kw):
@@ -485,13 +485,24 @@ class TestExperimentSpec:
 
     def test_sweep_height_zero_accepted_like_uav_height(self):
         # heights follow h_uav >= 0; a sweep height of 0 used to be refused
-        spec = ExperimentSpec(kind="cdf", base=SMALL, heights=(0.0,))
-        assert spec.heights == (0.0,)
+        spec = ExperimentSpec(kind="ris-gain", base=SMALL,
+                              sweeps={"h_uav": (0.0,)})
+        assert spec.sweeps["h_uav"] == (0.0,)
 
     def test_default_n_list_follows_kind(self):
-        assert ExperimentSpec("ris-gain", SMALL).n_list == DEFAULT_GAIN_N_LIST
-        assert ExperimentSpec("rate-region", SMALL).n_list == DEFAULT_N_LIST
-        assert ExperimentSpec("cdf", SMALL).n_list == DEFAULT_N_LIST
+        assert ExperimentSpec("ris-gain", SMALL).sweeps["n_ris"] \
+            == DEFAULT_GAIN_N_LIST
+        assert ExperimentSpec("rate-region", SMALL).sweeps["n_ris"] \
+            == DEFAULT_N_LIST
+
+    @pytest.mark.parametrize("kind, h_uav", [("cdf", 0.0),
+                                             ("rate-region", 50.0)])
+    def test_unswept_field_rejected(self, kind, h_uav):
+        # a spec holds sweeps of its study's fields only; each kind used to
+        # hold and check every sweep, also those its study never ran
+        with pytest.raises(ConfigError,
+                           match=f"^h_uav: {kind} does not sweep it"):
+            ExperimentSpec(kind, SMALL, {"h_uav": (h_uav,)})
 
     def test_unknown_kind_lists_the_kinds(self):
         with pytest.raises(ConfigError, match="expected one of rate-region"):

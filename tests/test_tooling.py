@@ -6,6 +6,7 @@ and every CLI flag sets a config key."""
 import ast
 import gzip
 import importlib
+import inspect
 import json
 import os
 import runpy
@@ -128,7 +129,7 @@ def test_ris_gain_group_phases_each_element_once(monkeypatch):
     _, spec = _spec([*WORKLOADS["ris-gain"].args, "--trials", "2",
                      "--workers", "1"])
     cli.run_experiment(spec, workers=1)
-    assert sum(widths) == max(spec.n_list) == 60
+    assert sum(widths) == max(spec.sweeps["n_ris"]) == 60
     # every size ends on a block edge: none aligns an empty block
     assert 0 not in widths
 
@@ -200,28 +201,27 @@ def test_readme_cli_examples_parse(tmp_path):
 
 SCENARIOS = ((0.1, 15.0, False), (0.33, -5.0, False), (0.1, 15.0, True))
 # What each README command, in README order, and benchmark workload
-# resolves to: the sweeps its study runs and the base fields the study
-# reads.  These are the values of the parser that still had a sweep key
-# beside each swept field.
+# resolves to: the sweeps its study runs, keyed by field, and the base
+# fields the study reads; cdf sweeps no field and runs SCENARIOS.  These
+# are the values of the parser that still had a sweep key beside each
+# swept field.
 RESOLVED = {
-    "readme-rate-region": ({"kappas": (0.02, 0.05, 0.1, 0.15),
-                            "n_list": (15, 30)},
+    "readme-rate-region": ({"kappa": (0.02, 0.05, 0.1, 0.15),
+                            "n_ris": (15, 30)},
                            {"h_uav": 100.0, "tilt_deg": 15.0,
                             "master_seed": 7, "trials": 2000}),
-    "readme-cdf": ({"cdf_scenarios": SCENARIOS},
-                   {"n_ris": 20, "h_uav": 100.0, "master_seed": 1,
-                    "trials": 2000}),
-    "readme-ris-gain": ({"n_list": (20, 30, 40, 50, 60),
-                         "heights": (16.0, 100.0, 300.0)},
+    "readme-cdf": ({}, {"n_ris": 20, "h_uav": 100.0, "master_seed": 1,
+                        "trials": 2000}),
+    "readme-ris-gain": ({"n_ris": (20, 30, 40, 50, 60),
+                         "h_uav": (16.0, 100.0, 300.0)},
                         {"kappa": 0.1, "tilt_deg": 15.0, "master_seed": 1,
                          "trials": 2000}),
-    "ris-gain": ({"n_list": (20, 30, 40, 50, 60),
-                  "heights": (16.0, 100.0, 300.0)},
+    "ris-gain": ({"n_ris": (20, 30, 40, 50, 60),
+                  "h_uav": (16.0, 100.0, 300.0)},
                  {"kappa": 0.1, "tilt_deg": 15.0, "master_seed": 7,
                   "trials": 40}),
-    "cdf-w2": ({"cdf_scenarios": SCENARIOS},
-               {"n_ris": 20, "h_uav": 100.0, "master_seed": 7,
-                "trials": 2000}),
+    "cdf-w2": ({}, {"n_ris": 20, "h_uav": 100.0, "master_seed": 7,
+                    "trials": 2000}),
 }
 
 
@@ -235,9 +235,29 @@ def test_examples_resolve_as_before(name, tmp_path):
     sweeps, base = RESOLVED[name]
     _, spec = _spec(argv)
     # each study runs its own set of sweeps, so these pin the kind too
-    assert {s: getattr(spec, s) for s in cli.STUDIES[spec.kind].sweeps} \
-        == sweeps
+    assert spec.sweeps == sweeps
+    if spec.kind == "cdf":
+        assert inspect.signature(experiments.rate_cdf).parameters[
+            "scenarios"].default == SCENARIOS
     assert {f: getattr(spec.base, f) for f in base} == base
+
+
+def test_study_rows_route_each_sweep():
+    # run_experiment passes a row's sweeps to its study by position, so
+    # the row's defaults, in order, must be those of the study's
+    # parameters after cfg: two fields in the wrong order would send
+    # each sweep to the other's argument
+    swept = set()
+    for kind, row in experiments.STUDIES.items():
+        assert set(row.sweeps) <= set(experiments.PER_POINT_FIELDS), kind
+        params = list(inspect.signature(row.run).parameters.values())
+        params = params[1:1 + len(row.sweeps)]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), kind
+        assert [p.default for p in params] == list(row.sweeps.values()), kind
+        swept |= set(row.sweeps)
+    # a config value is split as a comma list for exactly those fields
+    assert {key for key in cli._TYPES
+            if type(cli._parse(key, "1", key)) is tuple} == swept
 
 
 def test_every_flag_sets_a_config_key():
