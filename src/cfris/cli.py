@@ -29,8 +29,8 @@ from .geometry import FIELD_TYPES, ConfigError, SimConfig, SimulationError
 _TYPES = {**FIELD_TYPES, "experiment": str}
 # The fields that some study sweeps, in a fixed order.
 _SWEPT = tuple(dict.fromkeys(f for s in STUDIES.values() for f in s.sweeps))
-# Flags named otherwise than the key they set; --heights is --uav-height.
-_RENAMES = {"seed": "master_seed", "uav_height": "h_uav", "heights": "h_uav"}
+# Flags named otherwise than the key they set.
+_RENAMES = {"seed": "master_seed", "heights": "h_uav"}
 # CSV columns named otherwise than their row key, besides *_bps -> *_mbps.
 _COLUMNS = {"h_uav_m": "uav_height_m"}
 
@@ -79,30 +79,24 @@ def load_config(path: str | None, overrides: dict
     """Resolve defaults, then file values, then flag overrides.
 
     ``overrides`` maps flag names to values (None = absent); flags that
-    name no config key are ignored.  A swept field takes a comma list: its
-    sweep in a study that sweeps it, else one value only.  The first value
-    sets the field.  ``no_ris`` forces n_ris to 0.
+    name no config key are ignored.  A swept field takes a comma list, its
+    first value setting the field.  The list is the field's sweep when the
+    study sweeps the field or the list holds more than one value; the spec
+    rejects a sweep of a field its study does not sweep.
     """
     values = _read_config_file(path) if path else {}
-    flagged = {}
     for flag, raw in overrides.items():
         key = _RENAMES.get(flag, flag)
         if raw is not None and key in _TYPES:
-            if key in flagged:
-                raise ConfigError(f"{flag}: {key} is set by another flag")
-            flagged[key] = _parse(key, raw, flag)
-    values.update(flagged)
+            values[key] = _parse(key, raw, flag)
     kind = values.pop("experiment", ExperimentSpec.kind)
     swept = study(kind).sweeps
-    sweeps = {field: values[field] for field in swept if field in values}
+    sweeps = {}
     for field in _SWEPT:
         if field in values:
-            if field not in swept and len(values[field]) > 1:
-                raise ConfigError(
-                    f"{field}: {kind} does not sweep it; give one value")
+            if field in swept or len(values[field]) > 1:
+                sweeps[field] = values[field]
             values[field] = values[field][0]
-    if overrides.get("no_ris"):
-        values["n_ris"] = 0
     cfg = SimConfig(**values)
     return cfg, ExperimentSpec(kind, cfg, sweeps)
 
@@ -199,14 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="UAV power fraction; rate-region sweeps a list")
     parser.add_argument("--n-ris", dest="n_ris",
                         help="RIS element count; a list sweeps it, not in cdf")
-    parser.add_argument("--uav-height", dest="uav_height",
+    parser.add_argument("--heights",
                         help="UAV height in meters; ris-gain sweeps a list")
-    parser.add_argument("--heights", help="same as --uav-height")
     parser.add_argument("--tilt-deg", dest="tilt_deg",
                         help="AP antenna down-tilt in degrees")
-    parser.add_argument("--no-ris", dest="no_ris", action="store_true",
-                        help="set the base n_ris to 0; rate-region and "
-                             "ris-gain still sweep --n-ris")
     return parser
 
 

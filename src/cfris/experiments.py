@@ -96,12 +96,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         swept = study(self.kind).sweeps
-        # a tuple, so that a numpy array is a sweep like a list
-        sweeps = {name: tuple(values)
-                  for name, values in {**swept, **self.sweeps}.items()}
-        for name, values in sweeps.items():
+        sweeps = {}
+        for name, values in {**swept, **self.sweeps}.items():
             if name not in swept:
                 raise ConfigError(f"{name}: {self.kind} does not sweep it")
+            try:
+                # a tuple, so that a numpy array is a sweep like a list
+                sweeps[name] = values = tuple(values)
+            except TypeError:
+                raise ConfigError(f"{name}: need a list of values") from None
             if not values:
                 raise ConfigError(f"{name}: need a non-empty list")
             for value in values:
@@ -459,8 +462,7 @@ def rate_cdf(cfg: SimConfig, scenarios=DEFAULT_CDF_SCENARIOS, *,
     The RIS size of a with-RIS scenario is the base configuration's n_ris.
     """
     if any(with_ris for _, _, with_ris in scenarios) and cfg.n_ris == 0:
-        raise ConfigError("scenarios: with_ris scenario requires "
-                          "n_ris >= 1 in the base config")
+        raise ConfigError("n_ris: cdf's RIS scenario needs n_ris >= 1")
     points = [cfg.with_overrides(kappa=float(kappa),
                                  tilt_deg=float(tilt_deg),
                                  n_ris=cfg.n_ris if with_ris else 0)

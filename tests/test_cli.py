@@ -91,10 +91,6 @@ class TestLoadConfig:
         assert cfg.kappa == 0.33
         assert spec.sweeps["kappa"] == (0.33,)
 
-    def test_no_ris_flag(self):
-        cfg, _ = load_config(None, flags(no_ris=True))
-        assert cfg.n_ris == 0
-
     def test_seed_and_trials_flags(self):
         cfg, _ = load_config(None, flags(seed=7, trials=10))
         assert cfg.master_seed == 7 and cfg.trials == 10
@@ -127,7 +123,7 @@ LOAD_CASES = {
     "seed beats file": ("master_seed = 5", flags(seed=9),
                         {"master_seed": 9}, {}),
     "trials beat file": ("trials = 5", flags(trials=9), {"trials": 9}, {}),
-    "uav-height beats file": ("h_uav = 50", flags(uav_height=70.0),
+    "uav-height beats file": ("h_uav = 50", flags(heights=70.0),
                               {"h_uav": 70.0}, {}),
     "tilt-deg beats file": ("tilt_deg = 5", flags(tilt_deg=-5.0),
                             {"tilt_deg": -5.0}, {}),
@@ -136,7 +132,7 @@ LOAD_CASES = {
     "one n-ris beats file": ("n_ris = 30", flags(n_ris="15"),
                              {"n_ris": 15}, {"n_ris": (15,)}),
     "one uav-height sweeps": ("", flags(experiment="ris-gain",
-                                        uav_height=50.0),
+                                        heights=50.0),
                               {"h_uav": 50.0}, {"h_uav": (50.0,)}),
     # rate-region does not sweep h_uav, so a scalar sets only the field
     "file scalars are sweeps": ("kappa = 0.3\nn_ris = 8\nh_uav = 50",
@@ -147,11 +143,11 @@ LOAD_CASES = {
                               {"kappa": (0.1, 0.2), "n_ris": (20, 30)}),
     "uav-height list sweeps": ("h_uav = 50",
                                flags(experiment="ris-gain",
-                                     uav_height="16,100"),
+                                     heights="16,100"),
                                {"h_uav": 16.0}, {"h_uav": (16.0, 100.0)}),
     "flag scalar beats file sweep": ("h_uav = 10, 20",
                                      flags(experiment="ris-gain",
-                                           uav_height=50.0),
+                                           heights=50.0),
                                      {"h_uav": 50.0}, {"h_uav": (50.0,)}),
     "kappa list sweeps": ("kappa = 0.2", flags(kappa="0.3, 0.4"),
                           {"kappa": 0.3}, {"kappa": (0.3, 0.4)}),
@@ -164,8 +160,6 @@ LOAD_CASES = {
         "kappa = 0.2, 0.4\nn_ris = 3, 5",
         flags(kappa="0.5,0.6", n_ris="7,9"),
         {"kappa": 0.5, "n_ris": 7}, {"kappa": (0.5, 0.6), "n_ris": (7, 9)}),
-    "no-ris beats n-ris": ("n_ris = 30", flags(n_ris="15", no_ris=True),
-                           {"n_ris": 0}, {}),
     "ris-gain default n_list": ("", flags(experiment="ris-gain"), {},
                                 {"n_ris": DEFAULT_GAIN_N_LIST}),
     "experiment flag beats file": ("experiment = cdf",
@@ -374,10 +368,10 @@ class TestMain:
         assert main(["--kappa", "1.5"]) == 1
         assert "kappa" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--kappa", "--uav-height", "--seed",
+    @pytest.mark.parametrize("flag", ["--kappa", "--heights", "--seed",
                                       "--trials", "--tilt-deg"])
     def test_unparsable_swept_flag_exit_1(self, tmp_path, capsys, flag):
-        # argparse refused a bad --uav-height, --seed, --trials or
+        # argparse refused a bad UAV height, --seed, --trials or
         # --tilt-deg with exit 2, which is kept for I/O errors, while a bad
         # --kappa exited 1
         code = main([flag, "abc", "--out", str(tmp_path)])
@@ -386,8 +380,8 @@ class TestMain:
         assert err.count("\n") == 1 and "cannot parse 'abc'" in err
 
     def test_uav_height_list_sweeps_ris_gain(self, tmp_path):
-        # argparse refused a --uav-height list with exit 2
-        code = main(["--experiment", "ris-gain", "--uav-height", "16,100",
+        # argparse refused a UAV height list with exit 2
+        code = main(["--experiment", "ris-gain", "--heights", "16,100",
                      "--n-ris", "8", "--trials", "20",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -397,11 +391,11 @@ class TestMain:
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("experiment, field, flag, values", [
-        ("rate-region", "h_uav", "--uav-height", "16,100"),
+        ("rate-region", "h_uav", "--heights", "16,100"),
         ("ris-gain", "kappa", "--kappa", "0.1,0.2"),
         ("cdf", "kappa", "--kappa", "0.1,0.2"),
         ("cdf", "n_ris", "--n-ris", "20,30"),
-        ("cdf", "h_uav", "--uav-height", "16,100"),
+        ("cdf", "h_uav", "--heights", "16,100"),
     ])
     def test_list_for_unswept_field_exit_1(self, tmp_path, capsys, source,
                                            experiment, field, flag, values):
@@ -454,14 +448,6 @@ class TestMain:
         assert err.count("\n") == 1
         assert "experiment: unknown kind 'bogus'" in err
 
-    def test_both_height_flags_exit_1(self, tmp_path, capsys):
-        # --heights is --uav-height; the sweep key won over the field
-        code = main(["--heights", "16", "--uav-height", "50",
-                     "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "h_uav" in err
-
     def test_ris_gain_without_uav_power_exit_1(self, tmp_path, capsys):
         # with kappa = 0 both UAV SINRs are 0 and the gain is undefined
         code = main(["--experiment", "ris-gain", "--kappa", "0",
@@ -502,7 +488,7 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags, config", [
-        (["--uav-height", "1e128"], ""),
+        (["--heights", "1e128"], ""),
         ([], "alpha = 200\n"),
     ], ids=["far-uav", "alpha-200"])
     def test_too_weak_uav_channel_exit_1(self, tmp_path, capsys, flags,
@@ -571,9 +557,8 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags", [
-        ["--experiment", "cdf", "--uav-height", "1e200"],
         ["--experiment", "ris-gain", "--n-ris", "20", "--heights", "1e200"],
-    ], ids=["uav-height", "heights"])
+    ], ids=["heights"])
     def test_length_beyond_1e150_exit_1(self, tmp_path, capsys, flags):
         # d_h**2 + dz**2 overflowed to inf, and numpy warned before the
         # run failed
@@ -672,7 +657,7 @@ class TestMain:
 
     def test_one_point_ris_gain(self, tmp_path):
         # the default 5 x 3 grid used to be written instead
-        code = main(["--experiment", "ris-gain", "--uav-height", "50",
+        code = main(["--experiment", "ris-gain", "--heights", "50",
                      "--n-ris", "8", "--trials", "20",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -683,3 +668,21 @@ class TestMain:
     def test_bad_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["--experiment", "bogus"])
+
+    @pytest.mark.parametrize("argv", [["--no-ris"], ["--uav-height", "50"]])
+    def test_removed_flag_is_unknown(self, capsys, argv):
+        # each flag sets one config key: --no-ris set none, and --heights
+        # alone sets h_uav
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cdf_without_ris_elements_names_n_ris(self, tmp_path, capsys):
+        code = main(["--experiment", "cdf", "--n-ris", "0", "--trials", "20",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("cfris: invalid configuration: n_ris:")
+        assert not (tmp_path / "rate_cdf.csv").exists()

@@ -419,7 +419,7 @@ class TestRateCdf:
 
     def test_with_ris_requires_elements(self):
         cfg = SMALL.with_overrides(n_ris=0, trials=25)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^n_ris:"):
             rate_cdf(cfg, scenarios=((0.1, 15.0, True),))
 
     @pytest.mark.filterwarnings("error")
@@ -503,6 +503,11 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError,
                            match=f"^h_uav: {kind} does not sweep it"):
             ExperimentSpec(kind, SMALL, {"h_uav": (h_uav,)})
+
+    def test_scalar_sweep_rejected(self):
+        # a bare number used to fail with a TypeError from tuple()
+        with pytest.raises(ConfigError, match="^n_ris: need a list of values"):
+            ExperimentSpec("ris-gain", SMALL, {"n_ris": 20})
 
     def test_unknown_kind_lists_the_kinds(self):
         with pytest.raises(ConfigError, match="expected one of rate-region"):
